@@ -10,13 +10,16 @@ Run with::
     python examples/online_streaming.py           # in-process decoder
     python examples/online_streaming.py --serve   # through the HTTP service
 
-With ``--serve`` the script boots a local :class:`repro.serve.MatchingServer`
-on a free port and drives the identical workload over HTTP with
+With ``--serve`` the script saves the dataset and model, boots a local
+:class:`repro.serve.ClusterServer` gateway (one forked matcher worker) on a
+free port, and drives the identical workload over HTTP with
 :class:`repro.serve.MatchingClient` — the streamed path and the batch path
 are byte-identical to the in-process ones; only the transport changes.
 """
 
 import argparse
+import tempfile
+from pathlib import Path
 
 from repro import LHMM, LHMMConfig, make_city_dataset
 from repro.core import OnlineLHMM
@@ -41,23 +44,40 @@ def stream_in_process(matcher, sample):
     return streamed_path, batch_path
 
 
-def stream_over_http(matcher, sample):
+def stream_over_http(matcher, dataset, sample):
     """The same workload through the HTTP service on a free local port."""
-    from repro.serve import MatchingClient, MatchingServer, ServeConfig
+    from repro.datasets import save_dataset
+    from repro.serve import (
+        ClusterConfig,
+        ClusterServer,
+        MatchingClient,
+        ShardRegistry,
+        ShardSpec,
+    )
 
-    with MatchingServer(matcher, ServeConfig(port=0)) as server:
-        print(f"  (serving on http://{server.host}:{server.port})")
-        client = MatchingClient(server.host, server.port)
-        with client.create_session(lag=LAG) as session:
-            for i, point in enumerate(sample.cellular.points):
-                state = session.feed(point)
-                print(
-                    f"  t={point.timestamp:6.0f}s  point {i + 1:>2}  "
-                    f"committed {len(state['committed']):>2} segments, "
-                    f"{state['pending']} pending"
-                )
-            streamed_path = session.close()
-        batch_path = client.match([sample.cellular])[0]["path"]
+    with tempfile.TemporaryDirectory() as root:
+        dataset_path = Path(root) / "city.json.gz"
+        model_path = Path(root) / "model.npz"
+        save_dataset(dataset, dataset_path)
+        matcher.save(model_path)
+        registry = ShardRegistry.publish(
+            [ShardSpec(region="default", dataset=str(dataset_path),
+                       model=str(model_path))]
+        )
+        config = ClusterConfig(port=0, num_workers=1)
+        with ClusterServer(registry, config) as server:
+            print(f"  (serving on {server.address})")
+            client = MatchingClient(server.host, server.port)
+            with client.create_session(lag=LAG) as session:
+                for i, point in enumerate(sample.cellular.points):
+                    state = session.feed(point)
+                    print(
+                        f"  t={point.timestamp:6.0f}s  point {i + 1:>2}  "
+                        f"committed {len(state['committed']):>2} segments, "
+                        f"{state['pending']} pending"
+                    )
+                streamed_path = session.close()
+            batch_path = client.match([sample.cellular])[0]["path"]
     return streamed_path, batch_path
 
 
@@ -81,7 +101,7 @@ def main() -> None:
         f"({len(sample.cellular)} points, {mode}):"
     )
     if args.serve:
-        streamed_path, batch_path = stream_over_http(matcher, sample)
+        streamed_path, batch_path = stream_over_http(matcher, dataset, sample)
     else:
         streamed_path, batch_path = stream_in_process(matcher, sample)
 

@@ -21,7 +21,6 @@ from repro.errors import (
     InvalidTrajectoryInput,
     MatchError,
     MatchFailure,
-    PoolBroken,
     ReproError,
     RoutingFailure,
     WorkerCrash,
@@ -38,7 +37,6 @@ __all__ = [
     "MatchFailure",
     "RoutingFailure",
     "WorkerCrash",
-    "PoolBroken",
     "MatchError",
     "MatchingDataset",
     "make_city_dataset",

@@ -145,7 +145,9 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--seed", type=int, default=0)
 
     serve = commands.add_parser(
-        "serve", help="run a long-lived map-matching HTTP service"
+        "serve", help="run a long-lived map-matching HTTP service: an asyncio "
+                      "gateway in front of forked matcher workers attached "
+                      "to shared-memory artifacts"
     )
     serve.add_argument("--dataset", default=None,
                        help="map + towers the model serves (required unless "
@@ -154,51 +156,41 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="trained LHMM .npz (required unless every shard "
                             "comes from --region)")
     serve.add_argument("--weights", choices=["raw", "ema"], default="raw",
-                       help="artifact weight set to serve (applies to every "
-                            "shard with --cluster); challengers started via "
-                            "POST /v1/admin/ab can pick their own")
+                       help="artifact weight set every shard serves; "
+                            "challengers started via POST /v1/admin/ab can "
+                            "pick their own")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument("--port", type=int, default=8080,
                        help="TCP port (0 = pick a free port)")
     _add_router_arguments(serve)
     serve.add_argument("--workers", type=int, default=1,
-                       help="batch-matching processes (1 = in-process serial); "
-                            "with --cluster, the matcher worker fleet size "
-                            "the gateway starts with")
+                       help="matcher worker processes the gateway starts with")
     serve.add_argument("--min-workers", type=int, default=None,
-                       help="(cluster) floor the queue-depth autoscaler drains "
-                            "down to when idle (default: --workers)")
+                       help="floor the queue-depth autoscaler drains down to "
+                            "when idle (default: --workers)")
     serve.add_argument("--max-workers", type=int, default=None,
-                       help="(cluster) ceiling the autoscaler forks up to "
-                            "under sustained queueing (default: --workers, "
-                            "i.e. autoscaling off)")
+                       help="ceiling the autoscaler forks up to under "
+                            "sustained queueing (default: --workers, i.e. "
+                            "autoscaling off)")
     serve.add_argument("--journal", default=None, metavar="PATH",
-                       help="(cluster) append control-plane decisions "
-                            "(respawns, scale events, rollouts) as JSONL here; "
-                            "also honoured via $REPRO_CLUSTER_JOURNAL")
+                       help="append control-plane decisions (respawns, scale "
+                            "events, rollouts) as JSONL here; also honoured "
+                            "via $REPRO_CLUSTER_JOURNAL")
     serve.add_argument("--cluster", action="store_true",
-                       help="run the sharded cluster tier: an asyncio gateway "
-                            "in front of --workers forked matcher processes "
-                            "attached to shared-memory artifacts")
+                       help="accepted for compatibility and ignored: the "
+                            "gateway is the only server")
     serve.add_argument("--region", action="append", default=None,
                        metavar="NAME=DATASET:MODEL",
-                       help="(cluster) serve an extra region from its own "
-                            "dataset + model artifact; repeatable.  --dataset/"
-                            "--model, when given, serve the 'default' region")
+                       help="serve an extra region from its own dataset + "
+                            "model artifact; repeatable.  --dataset/--model, "
+                            "when given, serve the 'default' region")
     serve.add_argument("--max-inflight", type=int, default=64,
-                       help="(cluster) concurrent worker operations running at "
-                            "once; arrivals beyond it queue, and queue "
-                            "overflow is shed with HTTP 503 + Retry-After")
+                       help="concurrent worker operations running at once; "
+                            "arrivals beyond it queue, and queue overflow is "
+                            "shed with HTTP 503 + Retry-After")
     serve.add_argument("--cache-size", type=int, default=1024,
-                       help="(cluster) response-cache entries for /v1/match "
+                       help="response-cache entries for /v1/match "
                             "(0 disables caching)")
-    serve.add_argument("--batch-window-ms", type=float, default=25.0,
-                       help="micro-batch collection window")
-    serve.add_argument("--batch-max", type=int, default=16,
-                       help="max trajectories per micro-batch")
-    serve.add_argument("--queue-limit", type=int, default=64,
-                       help="bounded request queue; beyond it the server sheds "
-                            "load with HTTP 503 + Retry-After")
     serve.add_argument("--max-sessions", type=int, default=256,
                        help="concurrent streaming sessions")
     serve.add_argument("--session-ttl", type=float, default=300.0,
@@ -206,56 +198,44 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--lag", type=int, default=4,
                        help="default fixed-lag commit distance for sessions")
     serve.add_argument("--respawn-limit", type=int, default=3,
-                       help="times the worker pool may be rebuilt after a "
-                            "crash before remaining work is failed")
-    serve.add_argument("--chunk-timeout", type=float, default=None,
-                       help="seconds a batch chunk may run without the pool "
-                            "making progress before its workers are killed "
-                            "and respawned (default: no timeout)")
-    serve.add_argument("--log-requests", action="store_true",
-                       help="log every HTTP request to stderr")
+                       help="worker respawns allowed across the fleet before "
+                            "a dead worker's slot leaves the hash ring")
     serve.add_argument("--transport", choices=["socketpair", "tcp"],
                        default="socketpair",
-                       help="(cluster) gateway<->worker transport: inherited "
+                       help="gateway<->worker transport: inherited "
                             "socketpairs (default) or length-prefixed frames "
                             "over TCP with generation-fenced handshakes")
     serve.add_argument("--node", default=None, metavar="NAME",
-                       help="(cluster) federation node name; giving it turns "
-                            "this gateway into a federation member that "
-                            "routes, proxies, and replicates across --peer "
-                            "gateways")
+                       help="federation node name; giving it turns this "
+                            "gateway into a federation member that routes, "
+                            "proxies, and replicates across --peer gateways")
     serve.add_argument("--fed-host", default="127.0.0.1", metavar="HOST",
-                       help="(cluster) interface the federation frame "
-                            "listener binds")
+                       help="interface the federation frame listener binds")
     serve.add_argument("--fed-port", type=int, default=0, metavar="N",
-                       help="(cluster) federation listener port "
-                            "(0 = pick a free port)")
+                       help="federation listener port (0 = pick a free port)")
     serve.add_argument("--peer", action="append", default=None,
                        metavar="NAME=HOST:FEDPORT",
-                       help="(cluster) a peer gateway's federation endpoint; "
-                            "repeatable")
+                       help="a peer gateway's federation endpoint; repeatable")
     serve.add_argument("--advertise", default=None, metavar="HOST:PORT",
-                       help="(cluster) HTTP address peers should redirect/"
-                            "proxy clients to for this node's regions "
-                            "(default: the bound --host/--port)")
+                       help="HTTP address peers should redirect/proxy clients "
+                            "to for this node's regions (default: the bound "
+                            "--host/--port)")
     serve.add_argument("--route-mode", choices=["proxy", "redirect"],
                        default="proxy",
-                       help="(cluster) serve misrouted /v1/match requests by "
-                            "proxying to the owner over the federation link, "
-                            "or answer HTTP 307 redirects to it")
+                       help="serve misrouted /v1/match requests by proxying "
+                            "to the owner over the federation link, or answer "
+                            "HTTP 307 redirects to it")
     serve.add_argument("--fed-heartbeat", type=float, default=1.0,
                        metavar="S",
-                       help="(cluster) seconds between federation peer "
-                            "heartbeats")
+                       help="seconds between federation peer heartbeats")
     serve.add_argument("--fed-heartbeat-timeout", type=float, default=3.0,
                        metavar="S",
-                       help="(cluster) silent seconds before a peer is "
-                            "declared down and its regions answer 503 + "
-                            "Retry-After")
+                       help="silent seconds before a peer is declared down "
+                            "and its regions answer 503 + Retry-After")
     serve.add_argument("--no-replicate", action="store_true",
-                       help="(cluster) disable session-journal replication "
-                            "to peer gateways (federation keeps routing but "
-                            "loses failover)")
+                       help="disable session-journal replication to peer "
+                            "gateways (federation keeps routing but loses "
+                            "failover)")
 
     return parser
 
@@ -613,33 +593,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _install_reload_signal(server) -> None:
-    """SIGHUP → hot-reload the model, off the signal handler's thread.
-
-    The reload itself (artifact load + canary) runs on a worker thread so
-    the handler returns immediately; a failed reload logs and leaves the
-    old model serving — exactly like the HTTP endpoint.
-    """
-    import signal
-    import threading
-
-    def _reload_async(*_signal_args) -> None:
-        def _run() -> None:
-            try:
-                info = server.reload_model()
-                print(f"SIGHUP: reloaded model (generation {info['generation']})")
-            except Exception as error:  # noqa: BLE001 - keep serving
-                print(f"SIGHUP: model reload failed, keeping old model: {error}",
-                      file=sys.stderr)
-
-        threading.Thread(target=_run, name="repro-serve-reload", daemon=True).start()
-
-    try:
-        signal.signal(signal.SIGHUP, _reload_async)
-    except (AttributeError, ValueError):  # pragma: no cover - non-POSIX
-        pass
-
-
 def _install_rollout_signal(server) -> None:
     """SIGHUP → zero-downtime cluster rollout, off the signal handler's thread.
 
@@ -740,22 +693,11 @@ def _parse_federation(args: argparse.Namespace):
     )
 
 
-def _cmd_serve_cluster(args: argparse.Namespace) -> int:
-    from repro.serve import ClusterConfig, ClusterServer, ShardRegistry
+def _cluster_config(args: argparse.Namespace):
+    """The gateway configuration the ``serve`` flags describe."""
+    from repro.serve import ClusterConfig
 
-    try:
-        specs = _parse_region_specs(args)
-        federation = _parse_federation(args)
-    except ValueError as error:
-        print(f"error [usage]: {error}", file=sys.stderr)
-        return 2
-    registry = ShardRegistry.publish(specs)
-    total_kb = registry.total_bytes() / 1024
-    print(
-        f"published {len(specs)} shard(s), {total_kb:.0f} KiB of shared "
-        f"artifacts: {', '.join(registry.regions)}"
-    )
-    config = ClusterConfig(
+    return ClusterConfig(
         host=args.host,
         port=args.port,
         num_workers=max(1, args.workers),
@@ -769,7 +711,24 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         max_workers=args.max_workers,
         journal_path=args.journal,
         worker_transport=args.transport,
-        federation=federation,
+        federation=_parse_federation(args),
+    )
+
+
+def _cmd_serve(args: argparse.Namespace) -> int:
+    from repro.serve import ClusterServer, ShardRegistry
+
+    try:
+        specs = _parse_region_specs(args)
+        config = _cluster_config(args)
+    except ValueError as error:
+        print(f"error [usage]: {error}", file=sys.stderr)
+        raise SystemExit(2) from None
+    registry = ShardRegistry.publish(specs)
+    total_kb = registry.total_bytes() / 1024
+    print(
+        f"published {len(specs)} shard(s), {total_kb:.0f} KiB of shared "
+        f"artifacts: {', '.join(registry.regions)}"
     )
     server = ClusterServer(registry, config).start()
     _install_rollout_signal(server)
@@ -778,6 +737,7 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
         workers_note += f" (autoscaling {server.min_workers}..{server.max_workers})"
     print(f"cluster gateway at {server.address} ({workers_note}, "
           f"router={args.router}, transport={args.transport})")
+    federation = config.federation
     if federation is not None and server._fed is not None:
         fed = server._fed
         peer_names = ", ".join(sorted(p.name for p in federation.peers)) or "none"
@@ -798,79 +758,6 @@ def _cmd_serve_cluster(args: argparse.Namespace) -> int:
     finally:
         summary = server.shutdown()
         print(f"drained; committed {len(summary['sessions'])} open sessions")
-    return 0
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    from repro.core import LHMM
-    from repro.datasets import load_dataset
-    from repro.serve import MatchingServer, ServeConfig
-
-    if args.cluster:
-        return _cmd_serve_cluster(args)
-    if not (args.dataset and args.model):
-        # Mirrors the argparse required-argument behaviour these flags had
-        # before --cluster/--region made them conditionally optional.
-        print("error [usage]: serve needs --dataset and --model "
-              "(or --cluster with --region shards)", file=sys.stderr)
-        raise SystemExit(2)
-    dataset = load_dataset(args.dataset)
-    matcher = LHMM.load(args.model, dataset, weights=args.weights)
-    matcher.use_router(_resolve_router(args, dataset))
-
-    pool = None
-    if args.workers > 1:
-        from repro.core.parallel import ParallelMatcher
-
-        pool = ParallelMatcher(
-            args.model,
-            args.dataset,
-            workers=args.workers,
-            router=args.router,
-            ubodt_delta_m=args.ubodt_delta,
-            respawn_limit=args.respawn_limit,
-            chunk_timeout_s=args.chunk_timeout,
-        )
-        ready = pool.warmup()
-        print(f"warmed {ready} batch workers")
-
-    config = ServeConfig(
-        host=args.host,
-        port=args.port,
-        default_lag=args.lag,
-        max_sessions=args.max_sessions,
-        session_ttl_s=args.session_ttl,
-        batch_window_ms=args.batch_window_ms,
-        batch_max=args.batch_max,
-        queue_limit=args.queue_limit,
-        log_requests=args.log_requests,
-    )
-    server = MatchingServer(
-        matcher, config, pool=pool, model_path=args.model, dataset=dataset
-    )
-    _install_reload_signal(server)
-    print(
-        f"serving {Path(args.model).name} over {dataset.name!r} at "
-        f"{server.address} (router={args.router}, workers={args.workers})"
-    )
-    print("endpoints: POST /v1/sessions, POST /v1/sessions/<id>/points, "
-          "DELETE /v1/sessions/<id>, POST /v1/match, "
-          "POST /v1/admin/reload-model, POST /v1/admin/ab[/promote|/abort], "
-          "GET /healthz, GET /metrics")
-    print("hot reload: POST /v1/admin/reload-model or send SIGHUP after "
-          "replacing the model file; live A/B: POST /v1/admin/ab")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\ndraining ...")
-    finally:
-        summary = server.shutdown()
-        if pool is not None:
-            pool.close()
-        print(
-            f"drained; committed {len(summary['sessions'])} open sessions, "
-            f"served {server.metrics.snapshot()['counters']} events"
-        )
     return 0
 
 

@@ -35,13 +35,11 @@ from repro.core.trellis import (
 )
 from repro.core.matcher import LHMM, arch_name
 from repro.core.online import OnlineLHMM
-from repro.core.parallel import ParallelMatcher
 from repro.core.registry import make_model, register_model, registered_models
 
 __all__ = [
     "LHMM",
     "OnlineLHMM",
-    "ParallelMatcher",
     "arch_name",
     "make_model",
     "register_model",

@@ -1,67 +1,47 @@
-"""Process-parallel batch matching with fault isolation and self-healing.
+"""Process-parallel batch matching with per-item fault isolation.
 
 Matching is embarrassingly parallel across trajectories but the fitted
 matcher (embeddings, learner weights, road network, routing caches) is
-expensive to ship per task, so both entry points here load it **once per
-worker**:
+expensive to ship per task.  :func:`fork_match_many` — used by
+:meth:`LHMM.match_many(workers=N) <repro.core.matcher.LHMM.match_many>`
+and the evaluation harness — therefore forks POSIX workers that inherit
+the in-memory fitted matcher read-only; nothing is pickled but the
+trajectories and results.
 
-* :func:`fork_match_many` — used by :meth:`LHMM.match_many(workers=N)
-  <repro.core.matcher.LHMM.match_many>`: POSIX-forked workers inherit the
-  in-memory fitted matcher read-only; nothing is pickled but the
-  trajectories and results.
-* :class:`ParallelMatcher` — a long-lived pool whose worker initialiser
-  loads a saved model + dataset from disk (the deployment shape: big static
-  map, small trained model), optionally behind a UBODT router.
+Chunks are dispatched in fixed sizes and reassembled by chunk index, so
+output order — and content, trajectory for trajectory — is identical to
+serial matching.  Each worker keeps its own LRU-bounded route cache;
+per-worker hit/miss counters are collected with every chunk and left on
+``matcher.last_parallel_stats``.
 
-Both dispatch fixed chunks and reassemble results by chunk index, so output
-order — and content, trajectory for trajectory — is identical to serial
-matching.  Each worker keeps its own LRU-bounded route cache; per-worker
-hit/miss counters are collected with every chunk and exposed via
-``last_parallel_stats`` / :meth:`ParallelMatcher.stats`.
-
-Fault tolerance (``docs/robustness.md``) is layered:
+Fault tolerance (``docs/robustness.md``):
 
 * **Per-item isolation** — a trajectory whose match raises does not poison
   its chunk: the worker catches the exception and returns a
   :class:`~repro.errors.MatchError` slot in its place.
-* **Self-healing pool** — :class:`ParallelMatcher` survives worker death
-  (``BrokenProcessPool``) and wedged workers (no chunk completing for
-  ``chunk_timeout_s``): the pool is rebuilt, up to ``respawn_limit`` times
-  per batch, and only the *unfinished* chunks are resubmitted — completed
-  work is never thrown away.  Chunks that keep crashing are pushed to the
-  back of the resubmission order (suspected poison) and, after
-  ``max_chunk_attempts`` failures, surrendered as structured error slots.
-* :func:`fork_match_many` keeps per-item isolation but does **not**
-  self-heal — a crashed forked worker raises
-  :class:`~repro.errors.WorkerCrash` (the caller still owns the in-memory
-  matcher and can simply retry serially).
+* **No self-healing** — a crashed forked worker raises
+  :class:`~repro.errors.WorkerCrash`; the caller still owns the in-memory
+  matcher and can simply retry serially (``LHMM.match_many`` does).  The
+  long-lived, self-healing worker fleet is the serving gateway's
+  (:mod:`repro.serve.cluster`).
 """
 
 from __future__ import annotations
 
 import multiprocessing
 import os
-import signal
-import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import TYPE_CHECKING
 
-from repro.errors import MatchError, PoolBroken, WorkerCrash
+from repro.errors import MatchError, WorkerCrash
 from repro.testing import faults
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, types only
     from repro.cellular.trajectory import Trajectory
     from repro.core.matcher import LHMM, MatchResult
 
-# Worker-process state: the fitted matcher, either inherited through fork
-# (fork_match_many) or loaded from files by the pool initialiser.
+# Worker-process state: the fitted matcher, inherited through fork.
 _WORKER_STATE: dict = {}
-
-
-def default_workers() -> int:
-    """A sensible worker count: physical parallelism, capped at 8."""
-    return max(1, min(os.cpu_count() or 1, 8))
 
 
 def _match_chunk(chunk_index: int, start_index: int, trajectories: "list[Trajectory]"):
@@ -88,89 +68,36 @@ def _chunked(items: list, chunk_size: int) -> list[list]:
     return [items[i : i + chunk_size] for i in range(0, len(items), chunk_size)]
 
 
-def _warmup_task(hold_s: float) -> int:
-    """Occupy one worker briefly so every pool process gets initialised."""
-    time.sleep(hold_s)
-    return os.getpid()
+def _run_chunks(
+    pool: ProcessPoolExecutor, chunks: dict[int, tuple[int, list]]
+) -> tuple[dict[int, list], dict[int, dict]]:
+    """Submit ``chunks`` (index -> (start, items)); collect every result.
 
-
-def _kill_pool_processes(pool: ProcessPoolExecutor) -> None:
-    """SIGKILL every live worker of a pool declared hung."""
-    processes = getattr(pool, "_processes", None) or {}
-    for process in list(processes.values()):
-        if process.is_alive():  # pragma: no branch - racy by nature
-            try:
-                os.kill(process.pid, signal.SIGKILL)
-            except (ProcessLookupError, PermissionError):  # pragma: no cover
-                pass
-
-
-class _Round:
-    """Outcome of one submission round over a pool."""
-
-    __slots__ = ("completed", "per_worker", "broken", "reason")
-
-    def __init__(self) -> None:
-        self.completed: dict[int, list] = {}  # chunk index -> result slots
-        self.per_worker: dict[int, dict] = {}
-        self.broken = False
-        self.reason = ""
-
-
-def _run_round(
-    pool: ProcessPoolExecutor,
-    chunks: dict[int, tuple[int, list]],
-    order: list[int],
-    timeout_s: float | None,
-) -> _Round:
-    """Submit ``chunks`` (index -> (start, items)) in ``order``; collect what finishes.
-
-    Survives individual future failures: a ``BrokenProcessPool`` (worker
-    death) or a stall (no chunk completing within ``timeout_s``) ends the
-    round with ``broken=True`` and whatever completed — it never raises.
+    Returns ``(chunk index -> result slots, pid -> cache counters)``.  A
+    worker death (``BrokenProcessPool``) or any other chunk-level failure
+    raises :class:`WorkerCrash` — the forked pool is not rebuilt.
     """
-    outcome = _Round()
-    futures = {}
+    completed: dict[int, list] = {}
+    per_worker: dict[int, dict] = {}
     try:
-        for index in order:
-            start, items = chunks[index]
-            futures[pool.submit(_match_chunk, index, start, items)] = index
-    except (BrokenProcessPool, RuntimeError) as error:
-        outcome.broken = True
-        outcome.reason = f"pool rejected work: {error}"
-    pending = set(futures)
-    while pending:
-        # Each completion re-enters wait(), so the timeout measures time
-        # since the last chunk finished — a whole-pool stall detector.
-        done, pending = wait(pending, timeout=timeout_s, return_when=FIRST_COMPLETED)
-        if not done:
-            # Stall: nothing finished inside the window — treat the pool as
-            # hung, kill its workers so resources are actually reclaimed.
-            _kill_pool_processes(pool)
-            outcome.broken = True
-            outcome.reason = (
-                f"no chunk completed within {timeout_s:.1f}s; "
-                "worker pool declared hung and killed"
-            )
-            break
-        for future in done:
-            try:
-                chunk_index, results, stats = future.result()
-            except BrokenProcessPool as error:
-                outcome.broken = True
-                outcome.reason = f"worker process died: {error}"
-                continue
-            except Exception as error:  # noqa: BLE001 - chunk-level failure
-                outcome.broken = True
-                outcome.reason = f"chunk dispatch failed: {error}"
-                continue
-            outcome.completed[chunk_index] = results
+        futures = [
+            pool.submit(_match_chunk, index, start, items)
+            for index, (start, items) in chunks.items()
+        ]
+        for future in as_completed(futures):
+            chunk_index, results, stats = future.result()
+            completed[chunk_index] = results
             pid = stats.pop("pid", 0)
             # Counters are cumulative per worker: keep the freshest snapshot.
-            seen = outcome.per_worker.get(pid)
+            seen = per_worker.get(pid)
             if seen is None or sum(stats.values()) >= sum(seen.values()):
-                outcome.per_worker[pid] = stats
-    return outcome
+                per_worker[pid] = stats
+    except Exception as error:  # noqa: BLE001 - BrokenProcessPool and kin
+        raise WorkerCrash(
+            f"forked matching pool failed ({type(error).__name__}: {error}); "
+            "rerun serially"
+        ) from error
+    return completed, per_worker
 
 
 def _raise_or_return(results: list, return_errors: bool) -> list:
@@ -214,269 +141,13 @@ def fork_match_many(
     _WORKER_STATE["matcher"] = matcher
     try:
         with ProcessPoolExecutor(max_workers=workers, mp_context=context) as pool:
-            outcome = _run_round(pool, chunks, list(chunks), timeout_s=None)
+            completed, per_worker = _run_chunks(pool, chunks)
     finally:
         _WORKER_STATE.pop("matcher", None)
-    if outcome.broken:
-        raise WorkerCrash(
-            f"forked matching pool failed ({outcome.reason}); "
-            "rerun serially or use ParallelMatcher for a self-healing pool"
-        )
-    flat = [slot for index in sorted(outcome.completed) for slot in outcome.completed[index]]
+    flat = [slot for index in sorted(completed) for slot in completed[index]]
     matcher.last_parallel_stats = {
-        "workers": len(outcome.per_worker),
+        "workers": len(per_worker),
         "chunks": len(chunks),
-        "per_worker": outcome.per_worker,
+        "per_worker": per_worker,
     }
     return _raise_or_return(flat, return_errors)
-
-
-def _init_worker_from_files(
-    model_path: str,
-    dataset_path: str,
-    router: str,
-    ubodt_delta_m: float,
-) -> None:
-    """Pool initialiser: load the saved model + map once per worker."""
-    from repro.core.matcher import LHMM
-    from repro.datasets import load_dataset
-
-    dataset = load_dataset(dataset_path)
-    matcher = LHMM.load(model_path, dataset)
-    if router == "ubodt":
-        from repro.network.ubodt import Ubodt, UbodtRouter
-
-        table = Ubodt.build(dataset.network, ubodt_delta_m)
-        matcher.use_router(UbodtRouter(dataset.network, table, fallback=dataset.engine))
-    _WORKER_STATE["matcher"] = matcher
-
-
-class ParallelMatcher:
-    """A persistent, self-healing matching pool over a saved model + dataset.
-
-    Workers initialise once (model + map load, optional UBODT build) and
-    then stream chunks, so amortised per-trajectory cost approaches the
-    serial matcher's inner loop divided by the worker count.
-
-    A worker that dies (OOM kill, segfault) or wedges does not brick the
-    pool: the executor is rebuilt — up to ``respawn_limit`` times per
-    ``match_many`` call — and only unfinished chunks are resubmitted.
-    Chunks that fail ``max_chunk_attempts`` times are returned as
-    :class:`~repro.errors.MatchError` slots (``return_errors=True``) or
-    raised as :class:`~repro.errors.WorkerCrash` (default).
-
-    Args:
-        model_path: A trained LHMM ``.npz`` (validated to exist here, so a
-            typo fails at construction, not as an opaque pool breakage).
-        dataset_path: The serialized dataset holding the map + towers.
-        workers: Pool size (defaults to :func:`default_workers`).
-        chunk_size: Trajectories per dispatched chunk.
-        router: ``"dijkstra"`` or ``"ubodt"``.
-        ubodt_delta_m: UBODT distance bound (with ``router="ubodt"``).
-        respawn_limit: Pool rebuilds allowed per ``match_many`` call.
-        chunk_timeout_s: Declare the pool hung when no chunk completes for
-            this many seconds (``None`` disables the stall detector).
-        max_chunk_attempts: Submissions per chunk before it is surrendered
-            as error slots.
-
-    Use as a context manager::
-
-        with ParallelMatcher("model.npz", "city.json.gz", workers=4) as pool:
-            results = pool.match_many(trajectories)
-    """
-
-    def __init__(
-        self,
-        model_path: str | os.PathLike,
-        dataset_path: str | os.PathLike,
-        workers: int | None = None,
-        chunk_size: int = 8,
-        router: str = "dijkstra",
-        ubodt_delta_m: float = 3000.0,
-        respawn_limit: int = 3,
-        chunk_timeout_s: float | None = None,
-        max_chunk_attempts: int = 3,
-    ) -> None:
-        for label, path in (("model", model_path), ("dataset", dataset_path)):
-            if not os.path.exists(path):
-                raise FileNotFoundError(
-                    f"ParallelMatcher {label} file not found: {os.fspath(path)!r} "
-                    "(workers would die at initialisation; fix the path)"
-                )
-        self.workers = workers or default_workers()
-        self.chunk_size = max(1, int(chunk_size))
-        self.respawn_limit = max(0, int(respawn_limit))
-        self.chunk_timeout_s = chunk_timeout_s
-        self.max_chunk_attempts = max(1, int(max_chunk_attempts))
-        self._initargs = (str(model_path), str(dataset_path), router, ubodt_delta_m)
-        self._stats: dict = {
-            "workers": 0,
-            "chunks": 0,
-            "per_worker": {},
-            "worker_respawns_total": 0,
-            "failed_items_total": 0,
-        }
-        self._pool = self._new_pool()
-
-    def _new_pool(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=self.workers,
-            initializer=_init_worker_from_files,
-            initargs=self._initargs,
-        )
-
-    def _respawn_pool(self) -> None:
-        """Replace a broken/hung executor with a fresh one."""
-        try:
-            self._pool.shutdown(wait=False, cancel_futures=True)
-        except Exception:  # pragma: no cover - best-effort teardown
-            pass
-        self._pool = self._new_pool()
-        self._stats["worker_respawns_total"] += 1
-
-    @property
-    def worker_respawns(self) -> int:
-        """Pool rebuilds over this matcher's lifetime."""
-        return self._stats["worker_respawns_total"]
-
-    def warmup(self, hold_s: float = 0.05) -> int:
-        """Force every worker to initialise now instead of on first traffic.
-
-        ``ProcessPoolExecutor`` spawns workers lazily, so without a warmup
-        the first requests of a serving deployment pay the model + map load
-        (and any UBODT build) in-band.  Submits one short blocking task per
-        worker so the pool spins them all up; returns the number of distinct
-        worker processes that answered.
-
-        Worker initialiser failures normally surface as an opaque
-        ``BrokenProcessPool``; warmup reproduces the initialiser in-process
-        to name the actual failing file, raising :class:`PoolBroken`.
-        """
-        try:
-            futures = [
-                self._pool.submit(_warmup_task, hold_s) for _ in range(self.workers)
-            ]
-            return len({future.result() for future in futures})
-        except BrokenProcessPool as error:
-            try:
-                _init_worker_from_files(*self._initargs)
-            except Exception as cause:
-                raise PoolBroken(
-                    f"worker initialisation failed: {type(cause).__name__}: {cause} "
-                    f"(model={self._initargs[0]!r}, dataset={self._initargs[1]!r})"
-                ) from cause
-            finally:
-                _WORKER_STATE.pop("matcher", None)
-            raise PoolBroken(f"worker pool broke during warmup: {error}") from error
-
-    def match_many(
-        self, trajectories: "list[Trajectory]", return_errors: bool = False
-    ) -> "list[MatchResult]":
-        """Match a batch; results are in input order, identical to serial.
-
-        Chunks lost to worker crashes or hangs are resubmitted on a
-        rebuilt pool (completed chunks are kept).  With
-        ``return_errors=True``, trajectories that could not be matched
-        come back as :class:`MatchError` slots in their input positions;
-        otherwise the first such failure is re-raised.
-        """
-        if not trajectories:
-            return []
-        chunk_items = _chunked(trajectories, self.chunk_size)
-        chunks = {
-            index: (index * self.chunk_size, items)
-            for index, items in enumerate(chunk_items)
-        }
-        completed: dict[int, list] = {}
-        per_worker: dict[int, dict] = {}
-        attempts = {index: 0 for index in chunks}
-        # Every chunk submitted in a broken round shares the blame
-        # (attempts), but the *first unfinished* chunk of the round is the
-        # likeliest poison — suspicion pushes it behind the innocents so
-        # they drain first on the rebuilt pool.
-        suspicion = {index: 0 for index in chunks}
-        respawns_left = self.respawn_limit
-        pending = set(chunks)
-        while pending:
-            order = sorted(pending, key=lambda i: (suspicion[i], attempts[i], i))
-            for index in order:
-                attempts[index] += 1
-            outcome = _run_round(
-                self._pool,
-                {index: chunks[index] for index in order},
-                order,
-                self.chunk_timeout_s,
-            )
-            completed.update(outcome.completed)
-            per_worker.update(outcome.per_worker)
-            pending -= set(outcome.completed)
-            if not outcome.broken:
-                break
-            if pending:
-                unfinished = [index for index in order if index in pending]
-                if unfinished:
-                    suspicion[unfinished[0]] += 1
-                self._respawn_pool()
-                if respawns_left == 0:
-                    # Budget exhausted: surrender what is left as error slots.
-                    for index in sorted(pending):
-                        start, items = chunks[index]
-                        completed[index] = [
-                            MatchError(
-                                code=PoolBroken.code,
-                                message=(
-                                    "worker pool respawn budget exhausted "
-                                    f"({self.respawn_limit} respawns): {outcome.reason}"
-                                ),
-                                index=start + offset,
-                            )
-                            for offset in range(len(items))
-                        ]
-                    pending.clear()
-                    break
-                respawns_left -= 1
-                # Chunks that burned through their attempts are surrendered
-                # (likely the poison that keeps killing workers).
-                exhausted = {
-                    index for index in pending
-                    if attempts[index] >= self.max_chunk_attempts
-                }
-                for index in sorted(exhausted):
-                    start, items = chunks[index]
-                    completed[index] = [
-                        MatchError(
-                            code=WorkerCrash.code,
-                            message=(
-                                f"chunk failed {attempts[index]} times "
-                                f"({outcome.reason}); giving up on its trajectories"
-                            ),
-                            index=start + offset,
-                        )
-                        for offset in range(len(items))
-                    ]
-                pending -= exhausted
-        flat = [slot for index in sorted(completed) for slot in completed[index]]
-        failed = sum(1 for slot in flat if isinstance(slot, MatchError))
-        merged = dict(self._stats["per_worker"])
-        merged.update(per_worker)
-        self._stats.update(
-            workers=len(merged),
-            chunks=self._stats["chunks"] + len(chunks),
-            per_worker=merged,
-            failed_items_total=self._stats["failed_items_total"] + failed,
-        )
-        return _raise_or_return(flat, return_errors)
-
-    def stats(self) -> dict:
-        """Cumulative per-worker route-cache counters + fault counters."""
-        return dict(self._stats)
-
-    def close(self) -> None:
-        """Shut the pool down (idempotent)."""
-        self._pool.shutdown(wait=True)
-
-    def __enter__(self) -> "ParallelMatcher":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()

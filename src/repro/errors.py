@@ -65,17 +65,11 @@ class RoutingFailure(MatchFailure):
 
 
 class WorkerCrash(MatchFailure):
-    """A pool worker died (OOM kill, segfault, SIGKILL) while holding a
-    chunk.  The pool self-heals; items that kept crashing carry this."""
+    """A matcher worker process died (OOM kill, segfault, SIGKILL) while
+    holding work: a forked ``match_many`` chunk or a serving worker's
+    in-flight operation."""
 
     code = "worker_crash"
-
-
-class PoolBroken(ReproError, RuntimeError):
-    """The worker pool is unusable and the respawn budget is exhausted,
-    or its workers cannot even initialise (bad model/dataset files)."""
-
-    code = "pool_broken"
 
 
 class ArtifactCorrupt(ReproError, RuntimeError):
@@ -117,15 +111,14 @@ class TrainingDiverged(ReproError, RuntimeError):
 
 
 class ModelReloadFailed(ReproError, RuntimeError):
-    """A serve hot-reload was rejected: the server has no reloadable
-    model configured, the artifact file is missing, or the candidate
-    loaded but failed its canary run.  The previous model keeps
-    serving."""
+    """A serving rollout (or A/B challenger) was rejected: the artifact
+    could not be staged, or the candidate loaded but failed its canary
+    run.  The previous generation keeps serving."""
 
     code = "model_reload_failed"
     hint = (
-        "the previous model is still serving; fix the artifact (or its "
-        "path) and POST /v1/admin/reload-model again"
+        "the previous generation is still serving; fix the artifact (or "
+        "its path) and POST /v1/admin/rollout again"
     )
 
 
@@ -156,10 +149,10 @@ class ClusterUnavailable(ReproError, RuntimeError):
 
 class ServerOverloaded(ReproError, RuntimeError):
     """Arrival rate exceeds service rate and the admission queue is full;
-    the request was shed *before* any matching work happened.  Both the
-    threaded server and the cluster gateway answer this with HTTP 503 +
-    ``Retry-After`` — overload is a property of the deployment, not of
-    the request, so a retry elsewhere (or later) can succeed."""
+    the request was shed *before* any matching work happened.  The
+    gateway answers this with HTTP 503 + ``Retry-After`` — overload is a
+    property of the deployment, not of the request, so a retry elsewhere
+    (or later) can succeed."""
 
     code = "server_overloaded"
     http_status = 503
@@ -225,7 +218,6 @@ class MatchError:
             InvalidTrajectoryInput,
             RoutingFailure,
             WorkerCrash,
-            PoolBroken,
             ArtifactCorrupt,
             ArtifactIncompatible,
             TrainingDiverged,
@@ -241,7 +233,6 @@ __all__ = [
     "MatchFailure",
     "RoutingFailure",
     "WorkerCrash",
-    "PoolBroken",
     "ArtifactCorrupt",
     "ArtifactIncompatible",
     "TrainingDiverged",

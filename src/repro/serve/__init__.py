@@ -1,20 +1,27 @@
 """repro.serve — run LHMM as a long-lived map-matching service.
 
-The first user-facing layer of the system: a daemon that keeps one fitted
-matcher hot and serves two workloads over stdlib HTTP/JSON —
+The service keeps fitted matchers hot and serves the paper's two
+deployment modes over HTTP/JSON:
 
 * **streaming sessions** — points arrive one at a time and fixed-lag
   commits stream back (:mod:`repro.serve.sessions` over
   :class:`~repro.core.online.OnlineLHMM`);
-* **batch matching** — whole trajectories, micro-batched through
-  ``match_many`` with bounded-queue backpressure
-  (:mod:`repro.serve.batching`).
+* **batch matching** — whole trajectories through ``match_many``.
 
-Start one in-process::
+There is one server, :class:`~repro.serve.cluster.ClusterServer`: a
+single-threaded asyncio gateway in front of N forked matcher workers
+that attach every artifact from shared memory (:mod:`repro.serve.shm`,
+:mod:`repro.serve.shards`).  Requests may carry a ``region`` field that
+selects a shard.  Start one in-process::
 
-    from repro.serve import MatchingClient, MatchingServer, ServeConfig
+    from repro.serve import (
+        ClusterConfig, ClusterServer, MatchingClient, ShardRegistry, ShardSpec,
+    )
 
-    with MatchingServer(matcher, ServeConfig(port=0)) as server:
+    registry = ShardRegistry.publish(
+        [ShardSpec(region="default", dataset="city.json.gz", model="model.npz")]
+    )
+    with ClusterServer(registry, ClusterConfig(port=0, num_workers=1)) as server:
         client = MatchingClient(server.host, server.port)
         results = client.match([sample.cellular])
 
@@ -22,21 +29,16 @@ or from the command line: ``python -m repro serve --dataset city.json.gz
 --model model.npz``.  Protocol and tuning guidance live in
 ``docs/serving.md``.
 
-For horizontal scale there is a second deployment shape: the sharded
-**cluster** tier (:mod:`repro.serve.cluster`) — an asyncio gateway in
-front of N forked matcher workers that attach every artifact from shared
-memory (:mod:`repro.serve.shm`, :mod:`repro.serve.shards`), speaking the
-same HTTP protocol plus a per-request ``region`` field.  The gateway is
-self-healing (:mod:`repro.serve.control`): a supervision loop probes and
-respawns workers, a queue-depth autoscaler sizes the fleet between
+The gateway is self-healing (:mod:`repro.serve.control`): a supervision
+loop probes and respawns workers, an admission gate sheds overload with
+503 + ``Retry-After``, a queue-depth autoscaler sizes the fleet between
 ``--min-workers`` and ``--max-workers``, and ``POST /v1/admin/rollout``
 swaps in a new artifact generation with zero downtime.
 
-Both deployment shapes can also run a live **A/B test**
-(:mod:`repro.serve.ab`): ``POST /v1/admin/ab`` loads a challenger
-generation aside the champion and routes a deterministic hash-based
-fraction of match traffic to it, with per-generation counters on
-``/metrics`` and ``promote``/``abort`` endpoints to finalise.
+A live **A/B test** (:mod:`repro.serve.ab`): ``POST /v1/admin/ab`` loads
+a challenger generation aside the champion and routes a deterministic
+hash-based fraction of match traffic to it, with per-generation counters
+on ``/metrics`` and ``promote``/``abort`` endpoints to finalise.
 
 Beyond one host, gateways **federate** (:mod:`repro.serve.federation`
 over :mod:`repro.serve.transport`): each node owns a subset of regions,
@@ -56,7 +58,6 @@ from repro.serve.ab import (
     routes_to_challenger,
     split_fraction,
 )
-from repro.serve.batching import Backpressure, MicroBatcher, ServiceClosed
 from repro.serve.client import (
     MatchingClient,
     ServeClientError,
@@ -79,7 +80,6 @@ from repro.serve.control import (
 from repro.serve.federation import FederationConfig, FederationRuntime, PeerSpec
 from repro.serve.metrics import RollingWindow, ServeMetrics
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.server import MatchingServer, ServeConfig
 from repro.serve.sessions import SessionLimitError, SessionManager, UnknownSessionError
 from repro.serve.shards import DEFAULT_REGION, ShardRegistry, ShardSpec
 from repro.serve.shm import SegmentJanitor, SharedArrayPack
@@ -94,7 +94,6 @@ __all__ = [
     "ABState",
     "AdmissionGate",
     "AutoscalerPolicy",
-    "Backpressure",
     "ClusterConfig",
     "ClusterServer",
     "ConsistentHashRing",
@@ -107,8 +106,6 @@ __all__ = [
     "FrameListener",
     "GenerationStats",
     "MatchingClient",
-    "MatchingServer",
-    "MicroBatcher",
     "PROTOCOL_VERSION",
     "PeerLink",
     "PeerSpec",
@@ -116,11 +113,9 @@ __all__ = [
     "RollingWindow",
     "SegmentJanitor",
     "ServeClientError",
-    "ServeConfig",
     "ServeMetrics",
     "ServeRedirect",
     "ServerBusy",
-    "ServiceClosed",
     "SessionFenced",
     "SessionLimitError",
     "SessionManager",

@@ -10,10 +10,9 @@ The routing key is the canonical JSON encoding of the trajectory
 payload (same canonicalisation the cluster response cache uses), hashed
 with ``blake2b``; the 64-bit digest divided by ``2**64`` yields a
 uniform fraction in ``[0, 1)`` and a trajectory routes to the
-challenger iff that fraction is below the configured split.  Both the
-threaded server and the cluster gateway route through these helpers,
-and the chaos suite recomputes expected assignments with them — exact,
-not approximate.
+challenger iff that fraction is below the configured split.  The
+gateway routes through these helpers, and the tests recompute expected
+assignments with them — exact, not approximate.
 
 :class:`ABState` is the shared bookkeeping object: split + challenger
 provenance + one :class:`GenerationStats` per side (request, degraded,

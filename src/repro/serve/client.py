@@ -3,7 +3,7 @@
 Mirrors the server's endpoints one method each, speaking the JSON
 protocol of :mod:`repro.serve.protocol`.  Errors map onto exceptions:
 an overload answer — 503 + ``Retry-After`` (``server_overloaded``), or
-the legacy 429 — raises :class:`ServerBusy` carrying the server's retry
+the session-cap 429 — raises :class:`ServerBusy` carrying the server's retry
 hint; any other non-2xx raises :class:`ServeClientError`.  A convenience
 :meth:`MatchingClient.match_with_retry` backs off on anything transient —
 overload shedding, 503 during a drain or worker-fleet outage, and
@@ -14,8 +14,8 @@ By default the client opens one connection per request (simple,
 thread-safe).  With ``keep_alive=True`` it holds one persistent
 connection and pipelines requests over it (reconnecting transparently
 when the server closed it between requests) — markedly faster against
-the asyncio cluster gateway, but then an instance must not be shared
-across threads.
+the asyncio gateway, but then an instance must not be shared across
+threads.
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class StreamingSession:
 
 
 class MatchingClient:
-    """Talks to a :class:`~repro.serve.server.MatchingServer`."""
+    """Talks to a :class:`~repro.serve.cluster.ClusterServer` gateway."""
 
     #: Connection-level failures a retrying caller should treat like a
     #: transient server blip (restart, drain-close, half-open socket).
@@ -299,8 +299,8 @@ class MatchingClient:
     ) -> StreamingSession:
         """Open a streaming session; returns a handle.
 
-        ``region`` selects the shard on a multi-city cluster gateway; the
-        single-process server serves one implicit region and ignores it.
+        ``region`` selects the shard on a multi-city gateway (default:
+        the gateway's ``default`` region).
         """
         payload: dict = {}
         if lag is not None:
@@ -344,9 +344,8 @@ class MatchingClient:
         Accepts :class:`Trajectory` objects, point lists, or pre-encoded
         payloads; always returns a list of result dicts (``path``,
         ``matched_sequence``, ``score``) in input order.  ``region``
-        selects the shard on a cluster gateway (ignored by the
-        single-process server).  ``deadline_ms`` is the total budget the
-        caller grants the server: a cluster gateway sheds the request
+        selects the shard.  ``deadline_ms`` is the total budget the
+        caller grants the server: the gateway sheds the request
         with 504 once it expires (queued or mid-flight) rather than
         burning worker time on an answer nobody is waiting for.
         """
@@ -442,20 +441,8 @@ class MatchingClient:
         raise AssertionError("unreachable")  # pragma: no cover
 
     # ------------------------------------------------------------------ admin
-    def reload_model(self, model: str | None = None) -> dict:
-        """``POST /v1/admin/reload-model`` — hot-swap the serving model.
-
-        Pass ``model`` to point the server at a different artifact path.
-        Returns the reload summary (``generation``, ``model_path``);
-        raises :class:`ServeClientError` when the reload was refused
-        (corrupt/incompatible artifact, failed canary) — the old model
-        keeps serving in that case.
-        """
-        payload = {} if model is None else {"model": model}
-        return self._request("POST", "/v1/admin/reload-model", payload)
-
     def rollout(self, region: str | None = None, model: str | None = None) -> dict:
-        """``POST /v1/admin/rollout`` — zero-downtime rollout (cluster only).
+        """``POST /v1/admin/rollout`` — zero-downtime artifact rollout.
 
         Stages a new artifact generation for ``region`` (the gateway's
         default region when omitted), canaries it on a probe worker, then
@@ -482,10 +469,10 @@ class MatchingClient:
     ) -> dict:
         """``POST /v1/admin/ab`` — start an A/B test against a challenger.
 
-        The server loads (threaded) or stages + canaries (cluster) the
-        challenger at ``model`` and routes the deterministic ``split``
-        fraction of match traffic to it; ``weights`` selects its weight
-        set (``"raw"``/``"ema"``), ``region`` its shard (cluster only).
+        The gateway stages + canaries the challenger at ``model`` and
+        routes the deterministic ``split`` fraction of match traffic to
+        it; ``weights`` selects its weight set (``"raw"``/``"ema"``),
+        ``region`` its shard.
         Omitted fields take the server defaults.  Raises
         :class:`ServeClientError` with 409 when a test or rollout is
         already live, or with the failure status when the challenger was

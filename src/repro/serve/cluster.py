@@ -1,6 +1,6 @@
-"""Sharded serving cluster: asyncio gateway + matcher worker fleet.
+"""The matching service: asyncio gateway + matcher worker fleet.
 
-This is the scale-out tier above :class:`~repro.serve.server.MatchingServer`:
+This is the one serving shape — ``--workers 1`` is the small case:
 
 * a single-threaded **gateway** (one asyncio loop) owns HTTP parsing,
   admission control, the response cache, and session affinity — no
@@ -15,16 +15,15 @@ This is the scale-out tier above :class:`~repro.serve.server.MatchingServer`:
   (``w0`` … ``wN-1``) are the ring nodes: a respawned worker keeps its
   name and therefore its ring position, so recovery is deterministic.
 
-Failure semantics (mirroring PR 3's pool respawn machinery): when a
-worker dies, its in-flight operations fail over to siblings, the
-supervisor forks a replacement under the same name (bounded by
-``respawn_limit``), and its streaming sessions are *replayed* — the
-gateway journals every accepted point per session and feeds the journal
-back into the new owner before the next operation.  ``OnlineLHMM``
-decoding is deterministic, so a replayed session commits exactly the
-path the lost one would have.  Once the respawn budget is exhausted a
-worker's name leaves the ring; only ~1/N of sessions re-route (the
-consistent-hash property, covered by a hypothesis test).
+Failure semantics: when a worker dies, its in-flight operations fail
+over to siblings, the supervisor forks a replacement under the same name
+(bounded by ``respawn_limit``), and its streaming sessions are
+*replayed* — the gateway journals every accepted point per session and
+feeds the journal back into the new owner before the next operation.
+``OnlineLHMM`` decoding is deterministic, so a replayed session commits
+exactly the path the lost one would have.  Once the respawn budget is
+exhausted a worker's name leaves the ring; only ~1/N of sessions
+re-route (the consistent-hash property, covered by a hypothesis test).
 
 On top of the data plane sits a **control plane** (primitives in
 :mod:`repro.serve.control`):
@@ -56,11 +55,15 @@ On top of the data plane sits a **control plane** (primitives in
   worker) with HTTP 504, while queue overflow answers 503 +
   ``Retry-After``.
 
-The HTTP surface is the same JSON protocol as the single-process server
+The HTTP surface is the JSON protocol of :mod:`repro.serve.protocol`
 (``/v1/match``, ``/v1/sessions``, ``/healthz``, ``/metrics``) plus an
 optional ``region`` field that selects a shard; responses are
 byte-identical to direct ``LHMM.match`` / ``OnlineLHMM`` calls — the
-existing parity oracle runs against the gateway unchanged.
+parity oracle runs against the gateway unchanged.  The hand-written
+HTTP/1.1 reader bounds what it accepts from untrusted clients — request
+line (414), header lines and header count (431), body size (413) — and
+refuses a ``Transfer-Encoding`` body or a non-numeric
+``Content-Length`` (400) instead of misparsing a pipelined stream.
 """
 
 from __future__ import annotations
@@ -205,7 +208,7 @@ class ClusterConfig:
     #: returns the byte-identical body a worker would compute.
     cache_size: int = 1024
     #: Worker respawns allowed across the fleet before a dead worker's
-    #: name permanently leaves the ring (PR 3 semantics).
+    #: name permanently leaves the ring.
     respawn_limit: int = 3
     ring_replicas: int = 64
     shutdown_timeout_s: float = 30.0
@@ -234,7 +237,8 @@ class ClusterConfig:
     scale_up_cooldown_s: float = 1.0
     scale_down_cooldown_s: float = 5.0
     scale_down_idle_ticks: int = 8
-    #: How long a retiring/replaced worker may finish in-flight ops.
+    #: How long a retiring/replaced worker may finish in-flight ops, and
+    #: how long a shutdown waits for admitted requests to be answered.
     drain_timeout_s: float = 10.0
     #: Golden-corpus trajectories the rollout canary must match.
     canary_count: int = 5
@@ -586,7 +590,7 @@ class _WorkerRuntime:
         shard = self.registry.shard(region)
         # The one shared canary-set definition (repro.testing.golden):
         # regenerating the corpus or re-cutting the dataset can never
-        # desync this probe from the threaded server's reload gate.
+        # desync this probe from the golden regression corpus.
         trajectories = canary_trajectories(shard.dataset, count)
         return {
             "problems": run_canary(matcher, trajectories),
@@ -862,6 +866,14 @@ _ROUTES = (
 )
 
 
+#: Counters behind a ``degraded`` ``/healthz`` verdict, always reported.
+_DEGRADED_COUNTERS = (
+    "match_degraded_total",
+    "match_failed_total",
+    "worker_respawns_total",
+)
+
+
 def _canonical_key(region: str, item) -> tuple:
     """Cache/singleflight key: region + canonical JSON of one trajectory."""
     return (region, json.dumps(item, sort_keys=True, separators=(",", ":")))
@@ -902,6 +914,8 @@ class ClusterServer:
         self._handles: dict[str, _WorkerHandle] = {}
         self._records: dict[str, _SessionRecord] = {}
         self._connections: set[asyncio.Task] = set()
+        #: Requests between their head being read and their answer sent.
+        self._requests_in_flight = 0
         self._inflight_keys: dict[tuple, asyncio.Future] = {}
         self._session_ids = itertools.count()
         self._respawns_used = 0
@@ -1154,7 +1168,10 @@ class ClusterServer:
         for handle in self._handles.values():
             await self._connect_worker(handle, self._on_worker_down)
         self._server = await asyncio.start_server(
-            self._serve_connection, self.config.host, self.config.port
+            self._serve_connection,
+            self.config.host,
+            self.config.port,
+            limit=_MAX_LINE_BYTES,
         )
         self._bound = self._server.sockets[0].getsockname()[:2]
         if self._fed is not None:
@@ -1254,7 +1271,7 @@ class ClusterServer:
         """Graceful stop: 503 new work, close sessions, stop the fleet.
 
         Returns ``{"sessions": {id: path}}`` with the paths of sessions
-        finalised during the drain, mirroring the single-process server.
+        finalised during the drain.
         """
         if self._loop is None or self._thread is None or not self._thread.is_alive():
             if self._worker_listen_sock is not None:
@@ -1298,10 +1315,12 @@ class ClusterServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
-        # Idle keep-alive connections would otherwise outlive the loop;
-        # in-flight requests get a short grace period first.
-        if self._connections:
-            await asyncio.wait(list(self._connections), timeout=2.0)
+        # Admitted requests are answered (up to drain_timeout_s); then
+        # idle keep-alive connections, which would otherwise outlive the
+        # loop, are cancelled.
+        deadline = time.monotonic() + self.config.drain_timeout_s
+        while self._requests_in_flight and time.monotonic() < deadline:
+            await asyncio.sleep(0.02)
         for task in list(self._connections):
             task.cancel()
         if self._connections:
@@ -1316,15 +1335,18 @@ class ClusterServer:
                     pass
         self._records.clear()
         ab_handles = [record.handle for record in self._ab.values()]
-        for handle in list(self._handles.values()) + ab_handles:
-            if not handle.alive:
-                continue
-            handle.retiring = True
-            try:
-                await handle.call({"op": "shutdown"}, timeout=5.0)
-            except Exception:  # noqa: BLE001
-                pass
+        handles = list(self._handles.values()) + ab_handles
+        for handle in handles:
+            if handle.alive:
+                handle.retiring = True
+                try:
+                    await handle.call({"op": "shutdown"}, timeout=5.0)
+                except Exception:  # noqa: BLE001
+                    pass
             handle.close()
+        # Let the cancelled reader loops finish before the loop stops.
+        readers = [h._reader_task for h in handles if h._reader_task is not None]
+        await asyncio.gather(*readers, return_exceptions=True)
         if self._worker_listener is not None:
             await self._worker_listener.stop()
             self._worker_listener = None
@@ -1344,7 +1366,7 @@ class ClusterServer:
         The full lifecycle decision lives here: a *retiring* worker's
         death is the expected end of a drain; otherwise the crash-loop
         breaker is consulted first (a flapping worker loses its ring slot
-        for good), then the global respawn budget (PR 3 semantics), and
+        for good), then the global respawn budget, and
         only then is a replacement forked — after an exponential backoff
         sized by the worker's recent crash count so a fast crash loop
         cannot saturate the gateway with forks.
@@ -1595,7 +1617,8 @@ class ClusterServer:
         loop = asyncio.get_running_loop()
         # 1) Stage: load + validate the candidate into its own fresh
         # segment.  Artifact taxonomy errors propagate as-is (422/500
-        # on the wire) and nothing was staged.
+        # on the wire), anything else (a missing file) as
+        # ModelReloadFailed; either way nothing was staged.
         try:
             staged = await loop.run_in_executor(
                 None, self.registry.stage_model, region, model, weights
@@ -1605,7 +1628,11 @@ class ClusterServer:
             self._journal.record(
                 f"{event}_rejected", region=region, error=str(error)
             )
-            raise
+            if isinstance(error, (ReproError, asyncio.CancelledError)):
+                raise
+            raise ModelReloadFailed(
+                f"could not stage a candidate for region {region!r}: {error}"
+            ) from error
         self._journal.record(
             f"{event}_staged",
             region=region,
@@ -2326,7 +2353,9 @@ class ClusterServer:
                 },
             )
         except _WorkerOpError as error:
-            if error.code == "protocol_error":  # e.g. lag < 1
+            # A bad session parameter (e.g. lag < 1) is a 400 like any
+            # other malformed request, not a 422 about trajectory data.
+            if error.code in ("protocol_error", InvalidTrajectoryInput.code):
                 raise ProtocolError(str(error)) from error
             raise
         record = _SessionRecord(
@@ -2510,9 +2539,17 @@ class ClusterServer:
 
     # --------------------------------------------------------- observability
     async def handle_healthz(self, payload: dict, match: re.Match) -> tuple[int, dict]:
-        """``GET /healthz`` — fleet liveness and shard inventory."""
+        """``GET /healthz`` — fleet liveness and shard inventory.
+
+        ``status`` is ``"degraded"`` (not a lying ``"ok"``) while the
+        fleet is short of workers or partitioned, and once any worker
+        death, fallback-cascade match or failed match has happened —
+        results are still served, but not at full fidelity.  The
+        ``degraded`` block carries the counters behind that verdict.
+        """
         alive = len(self._alive_handles())
         counters = self.metrics.snapshot()["counters"]
+        degraded = {name: counters.get(name, 0) for name in _DEGRADED_COUNTERS}
         breakers = self._crash_tracker.open_breakers()
         fed_snapshot = self._fed.snapshot() if self._fed is not None else None
         if self._draining:
@@ -2523,6 +2560,7 @@ class ClusterServer:
             alive < self._workers_target
             or breakers
             or counters.get("worker_deaths_total")
+            or any(degraded.values())
             or (fed_snapshot is not None and fed_snapshot["partitioned"])
         ):
             status = "degraded"
@@ -2550,16 +2588,18 @@ class ClusterServer:
             "inflight_ops": self._gate.inflight,
             "queue_depth": self._gate.depth,
             "ab_live": sorted(self._ab),
+            "degraded": degraded,
         }
 
     async def handle_metrics(self, payload: dict, match: re.Match) -> tuple[int, dict]:
         """``GET /metrics`` — gateway counters + per-worker stats probe."""
         snapshot = self.metrics.snapshot()
         for name in (
+            *_DEGRADED_COUNTERS,
+            "trajectories_matched",
             "cache_hits_total",
             "cache_misses_total",
             "worker_deaths_total",
-            "worker_respawns_total",
             "worker_stalls_total",
             "breakers_open_total",
             "sessions_replayed_total",
@@ -2713,28 +2753,21 @@ class ClusterServer:
             self._connections.add(task)
         try:
             while True:
-                request_line = await reader.readline()
-                if not request_line:
-                    break
-                parts = request_line.decode("latin-1").strip().split()
-                if len(parts) != 3:
-                    writer.write(_http_response(400, {"error": "malformed request line"}, close=True))
-                    await writer.drain()
-                    break
-                method, target, version = parts
-                headers: dict[str, str] = {}
-                while True:
-                    line = await reader.readline()
-                    if line in (b"\r\n", b"\n", b""):
-                        break
-                    key, _, value = line.decode("latin-1").partition(":")
-                    headers[key.strip().lower()] = value.strip()
                 try:
-                    length = int(headers.get("content-length", "0") or 0)
-                except ValueError:
-                    length = -1
-                if length < 0 or length > self.config.max_body_bytes:
-                    writer.write(_http_response(413, {"error": "request body too large"}, close=True))
+                    head = await _read_request_head(reader)
+                    if head is None:
+                        break
+                    method, target, version, headers = head
+                    raw_length = headers.get("content-length", "0") or "0"
+                    if not (raw_length.isascii() and raw_length.isdigit()):
+                        raise _HttpError(400, "invalid Content-Length")
+                    length = int(raw_length)
+                    if length > self.config.max_body_bytes:
+                        raise _HttpError(413, "request body too large")
+                except _HttpError as error:
+                    writer.write(
+                        _http_response(error.status, {"error": str(error)}, close=True)
+                    )
                     await writer.drain()
                     break
                 body = await reader.readexactly(length) if length else b""
@@ -2742,9 +2775,17 @@ class ClusterServer:
                     headers.get("connection", "").lower() == "close"
                     or version.upper() == "HTTP/1.0"
                 )
-                status, response, extra_headers = await self._dispatch(method, target, body)
-                writer.write(_http_response(status, response, close=close, headers=extra_headers))
-                await writer.drain()
+                self._requests_in_flight += 1
+                try:
+                    status, response, extra_headers = await self._dispatch(
+                        method, target, body
+                    )
+                    writer.write(
+                        _http_response(status, response, close=close, headers=extra_headers)
+                    )
+                    await writer.drain()
+                finally:
+                    self._requests_in_flight -= 1
                 if close:
                     break
         except (asyncio.IncompleteReadError, ConnectionResetError, BrokenPipeError):
@@ -2764,6 +2805,55 @@ class ClusterServer:
                 pass
 
 
+#: HTTP reader limits (the stdlib ``http.server`` values): one request or
+#: header line, and the header count, before the reader answers 414/431.
+_MAX_LINE_BYTES = 64 * 1024
+_MAX_HEADERS = 100
+
+
+async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:
+    """``readline`` that turns asyncio's line-limit overrun into ``status``."""
+    try:
+        return await reader.readline()
+    except ValueError:  # LimitOverrunError, re-raised by readline
+        raise _HttpError(status, f"{what} longer than {_MAX_LINE_BYTES} bytes") from None
+
+
+async def _read_request_head(
+    reader: asyncio.StreamReader,
+) -> tuple[str, str, str, dict[str, str]] | None:
+    """Parse one request line + headers; ``None`` on a clean EOF.
+
+    Raises :class:`_HttpError` for anything the reader refuses; the
+    caller answers it and closes, because the stream position is no
+    longer trustworthy.
+    """
+    request_line = await _read_line(reader, 414, "request line")
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").strip().split()
+    if len(parts) != 3:
+        raise _HttpError(400, "malformed request line")
+    method, target, version = parts
+    headers: dict[str, str] = {}
+    for _ in range(_MAX_HEADERS + 1):
+        line = await _read_line(reader, 431, "header line")
+        if line in (b"\r\n", b"\n", b""):
+            break
+        key, _, value = line.decode("latin-1").partition(":")
+        headers[key.strip().lower()] = value.strip()
+    else:
+        raise _HttpError(431, f"more than {_MAX_HEADERS} headers")
+    if "transfer-encoding" in headers:
+        # Chunked bodies are not implemented: reading on as if the
+        # body were absent would parse chunk bytes as the next
+        # pipelined request.
+        raise _HttpError(
+            400, "Transfer-Encoding is not supported; send Content-Length"
+        )
+    return method, target, version, headers
+
+
 _REASONS = {
     200: "OK",
     201: "Created",
@@ -2772,8 +2862,10 @@ _REASONS = {
     404: "Not Found",
     409: "Conflict",
     413: "Payload Too Large",
+    414: "URI Too Long",
     422: "Unprocessable Entity",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
     504: "Gateway Timeout",

@@ -14,8 +14,8 @@ A *session* is one live trajectory being decoded by an
 
 The fitted matcher is **not** thread-safe for concurrent inference (its
 routing engine mutates LRU caches), so all decoding holds ``infer_lock``
-— shared with the server's serial batch path.  Per-session locks keep a
-single session's feeds ordered when a client pipelines requests.  Lock
+— pass one lock to every manager that shares a matcher.  Per-session
+locks keep a single session's feeds ordered when calls overlap.  Lock
 order is always manager → session → infer; the manager lock is never
 acquired while a session lock is held.
 """

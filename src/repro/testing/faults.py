@@ -7,10 +7,10 @@ Specs can be armed two ways:
 * **In-process** — ``faults.arm("match.learned", "raise")`` (tests in the
   same interpreter; pairs with ``disarm_all`` in teardown or the
   ``monkeypatch``-friendly :func:`armed` context manager).
-* **Via environment** — ``REPRO_FAULTS="worker.chunk:kill:chunk=1"``:
-  parsed on every fire, so pool workers forked/spawned *after* the
-  variable is set inherit the fault.  This is how a test reaches inside
-  a ``ProcessPoolExecutor`` worker it cannot otherwise touch.
+* **Via environment** — ``REPRO_FAULTS="cluster.op:kill:op=match"``:
+  parsed on every fire, so worker processes forked *after* the variable
+  is set inherit the fault.  This is how a test reaches inside a serving
+  worker it cannot otherwise touch.
 
 Actions:
 
@@ -24,7 +24,7 @@ Actions:
 
 One-shot semantics across processes use a filesystem token: a spec with
 ``once=/path/to/token`` fires only if it can *create* that file
-(``O_EXCL``), so a killed worker's retried chunk does not kill its
+(``O_EXCL``), so a killed worker's retried work does not kill its
 replacement too.
 
 Fault points currently wired into production code:
@@ -32,8 +32,8 @@ Fault points currently wired into production code:
 =================  ==========================================================
 point              where it fires
 =================  ==========================================================
-``worker.chunk``   start of ``_match_chunk`` in a pool worker
-                   (context: ``chunk``)
+``worker.chunk``   start of ``_match_chunk`` in a forked ``match_many``
+                   worker (context: ``chunk``)
 ``match``          top of ``LHMM.match``, *outside* the degradation
                    cascade (context: ``trajectory_id``)
 ``match.learned``  inside the learned path of ``LHMM.match``, *inside*

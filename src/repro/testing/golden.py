@@ -159,9 +159,9 @@ def canary_trajectories(dataset, count: int = DEFAULT_CANARY_COUNT) -> list:
     """The serve-side canary set for ``dataset``.
 
     The single definition of "which trajectories must a candidate model
-    match before serving": the threaded server's hot reload, the cluster
-    rollout probe, and the A/B challenger gate all call this, so a
-    corpus or dataset change can never desync one gate from the others.
+    match before serving": the gateway's rollout probe and its A/B
+    challenger gate both call this, so a corpus or dataset change can
+    never desync one gate from the other.
     """
     return [s.cellular for s in dataset.samples[:count]]
 
@@ -172,8 +172,8 @@ def run_canary(matcher: LHMM, trajectories: list) -> list[str]:
     Matches every canary trajectory with the degradation cascade *off* —
     a model that can only answer through fallbacks must not pass the
     canary — and returns a list of human-readable problems (empty means
-    the candidate is fit to serve).  Used by the serve hot-reload path:
-    a non-empty return keeps the old model in place.
+    the candidate is fit to serve).  Used by the gateway's canary probe
+    worker: a non-empty return keeps the old generation serving.
     """
     problems: list[str] = []
     saved = matcher.degradation_enabled

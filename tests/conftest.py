@@ -7,6 +7,8 @@ own instances.
 
 from __future__ import annotations
 
+import os
+
 import pytest
 
 from repro.cellular import (
@@ -16,8 +18,11 @@ from repro.cellular import (
     place_towers,
 )
 from repro.core import LHMM, LHMMConfig
-from repro.datasets import DatasetConfig, make_city_dataset
+from repro.datasets import DatasetConfig, make_city_dataset, save_dataset
 from repro.network import CityConfig, ShortestPathEngine, generate_city_network
+from repro.serve import ClusterConfig, ClusterServer, ShardRegistry, ShardSpec
+from repro.serve.shm import leaked_segments
+from repro.testing import faults
 
 
 TINY_CITY = CityConfig(
@@ -112,3 +117,65 @@ def gps_dataset():
 def trained_lhmm(tiny_dataset):
     """An LHMM fitted on the tiny dataset (shared, read-only)."""
     return LHMM(tiny_lhmm_config(), rng=3).fit(tiny_dataset)
+
+
+@pytest.fixture(scope="session")
+def served_paths(tmp_path_factory, tiny_dataset, trained_lhmm):
+    """``(dataset path, model path)``: the tiny dataset + LHMM on disk."""
+    root = tmp_path_factory.mktemp("served")
+    dataset_path = root / "tiny.json.gz"
+    model_path = root / "model.npz"
+    save_dataset(tiny_dataset, dataset_path)
+    trained_lhmm.save(model_path)
+    return str(dataset_path), str(model_path)
+
+
+def start_gateway(served_paths, fault_spec: str | None = None, **overrides):
+    """Boot a one-region gateway over the tiny artifacts.
+
+    One worker, no response cache and a lag of 3 unless ``overrides``
+    say otherwise.  ``fault_spec`` (the ``REPRO_FAULTS`` grammar) is
+    armed only while the fleet forks, so it reaches the first workers
+    but never a respawn or a rollout probe.
+    """
+    dataset_path, model_path = served_paths
+    registry = ShardRegistry.publish(
+        [ShardSpec(region="default", dataset=dataset_path, model=model_path)]
+    )
+    config = ClusterConfig(
+        **{"port": 0, "num_workers": 1, "cache_size": 0, "default_lag": 3, **overrides}
+    )
+    saved = os.environ.pop(faults.ENV_VAR, None)
+    if fault_spec is not None:
+        os.environ[faults.ENV_VAR] = fault_spec
+    try:
+        return ClusterServer(registry, config).start()
+    finally:
+        os.environ.pop(faults.ENV_VAR, None)
+        if saved is not None:
+            os.environ[faults.ENV_VAR] = saved
+
+
+@pytest.fixture(scope="module")
+def gateway(served_paths):
+    """A module-scoped gateway (see :func:`start_gateway`)."""
+    server = start_gateway(served_paths)
+    segments = {shard["segment"] for shard in server.registry.describe().values()}
+    yield server
+    server.shutdown()
+    assert segments.isdisjoint(leaked_segments())
+
+
+@pytest.fixture()
+def boot_gateway(served_paths):
+    """Factory for per-test gateways, all shut down after the test."""
+    servers = []
+
+    def boot(fault_spec: str | None = None, **overrides):
+        server = start_gateway(served_paths, fault_spec, **overrides)
+        servers.append(server)
+        return server
+
+    yield boot
+    for server in servers:
+        server.shutdown()

@@ -1,10 +1,10 @@
-"""Chaos tests: real worker kills, hangs, and pool self-healing.
+"""Chaos tests: real worker kills, hangs, and self-healing.
 
 Every test here injects faults via :mod:`repro.testing.faults` — SIGKILL
-inside pool workers, wedged chunks, broken model files — and asserts the
-guarantees ``docs/robustness.md`` promises: completed work is never
-discarded, surviving trajectories stay bit-identical to serial matching,
-failures come back as structured slots, and the same pool keeps serving.
+inside gateway workers and training runs, wedged match ops — and asserts
+the guarantees ``docs/robustness.md`` promises: admitted work is never
+dropped, answers stay bit-identical to serial matching, failures come
+back as structured errors, and the same server keeps serving.
 
 Excluded from the default suite (they kill processes and sleep); run
 with ``pytest -m chaos``.
@@ -21,16 +21,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import LHMM, OnlineLHMM, ParallelMatcher
+from repro.core import LHMM, OnlineLHMM
 from repro.datasets import load_dataset, save_dataset
-from repro.errors import MatchError, PoolBroken
 from repro.serve import (
     ClusterConfig,
     ClusterServer,
     MatchingClient,
-    MatchingServer,
     ServeClientError,
-    ServeConfig,
+    ServerBusy,
     ShardRegistry,
     ShardSpec,
 )
@@ -38,15 +36,6 @@ from repro.serve.shm import leaked_segments
 from repro.testing import faults
 
 pytestmark = pytest.mark.chaos
-
-
-def assert_results_identical(serial, parallel) -> None:
-    assert len(serial) == len(parallel)
-    for expected, got in zip(serial, parallel):
-        assert got.path == expected.path
-        assert got.matched_sequence == expected.matched_sequence
-        assert got.candidate_sets == expected.candidate_sets
-        assert got.score == pytest.approx(expected.score, rel=1e-12)
 
 
 @pytest.fixture(scope="module")
@@ -67,95 +56,6 @@ def serial_reference(saved_paths, tiny_dataset):
     reloaded = LHMM.load(model_path, load_dataset(dataset_path))
     trajectories = [sample.cellular for sample in tiny_dataset.test][:8]
     return trajectories, reloaded.match_many(trajectories)
-
-
-class TestPoolSelfHealing:
-    def test_sigkill_mid_batch_recovers_bit_identical(
-        self, saved_paths, serial_reference, monkeypatch, tmp_path
-    ):
-        """A worker SIGKILLed mid-batch (one-shot): the pool respawns,
-        resubmits only the lost chunks, and the full batch comes back
-        identical to serial — then the same pool serves another batch."""
-        model_path, dataset_path = saved_paths
-        trajectories, serial = serial_reference
-        token = tmp_path / "kill.token"
-        monkeypatch.setenv(
-            faults.ENV_VAR, f"worker.chunk:kill:chunk=1:once={token}"
-        )
-        with ParallelMatcher(
-            model_path, dataset_path, workers=2, chunk_size=2
-        ) as pool:
-            results = pool.match_many(trajectories, return_errors=True)
-            assert pool.worker_respawns >= 1
-            assert token.exists()  # the fault really fired
-            monkeypatch.delenv(faults.ENV_VAR)
-            again = pool.match_many(trajectories[:2])
-        assert_results_identical(serial, results)
-        assert_results_identical(serial[:2], again)
-        assert pool.stats()["failed_items_total"] == 0
-
-    def test_persistent_poison_chunk_is_surrendered_not_fatal(
-        self, saved_paths, serial_reference, monkeypatch
-    ):
-        """A chunk that kills every worker it touches: after
-        ``max_chunk_attempts`` it comes back as worker_crash slots while
-        every other trajectory is answered bit-identical to serial."""
-        model_path, dataset_path = saved_paths
-        trajectories, serial = serial_reference
-        monkeypatch.setenv(faults.ENV_VAR, "worker.chunk:kill:chunk=2")
-        with ParallelMatcher(
-            model_path,
-            dataset_path,
-            workers=1,
-            chunk_size=1,
-            respawn_limit=3,
-            max_chunk_attempts=3,
-        ) as pool:
-            results = pool.match_many(trajectories[:4], return_errors=True)
-            stats = pool.stats()
-        assert isinstance(results[2], MatchError)
-        assert results[2].code == "worker_crash"
-        assert results[2].index == 2
-        assert "3 times" in results[2].message
-        survivors = [results[i] for i in (0, 1, 3)]
-        assert_results_identical([serial[i] for i in (0, 1, 3)], survivors)
-        assert stats["failed_items_total"] == 1
-        assert stats["worker_respawns_total"] == 3
-
-    def test_exhausted_respawn_budget_raises_pool_broken(
-        self, saved_paths, serial_reference, monkeypatch
-    ):
-        model_path, dataset_path = saved_paths
-        trajectories, _ = serial_reference
-        monkeypatch.setenv(faults.ENV_VAR, "worker.chunk:kill:chunk=0")
-        with ParallelMatcher(
-            model_path, dataset_path, workers=1, chunk_size=2, respawn_limit=0
-        ) as pool:
-            with pytest.raises(PoolBroken, match="respawn budget exhausted"):
-                pool.match_many(trajectories[:4])
-
-    def test_hung_worker_is_killed_and_chunk_retried(
-        self, saved_paths, serial_reference, monkeypatch, tmp_path
-    ):
-        """The stall detector: a chunk wedged for 60s is killed after
-        ``chunk_timeout_s`` of no pool progress and retried successfully."""
-        model_path, dataset_path = saved_paths
-        trajectories, serial = serial_reference
-        token = tmp_path / "hang.token"
-        monkeypatch.setenv(
-            faults.ENV_VAR,
-            f"worker.chunk:hang:chunk=0:seconds=60:once={token}",
-        )
-        with ParallelMatcher(
-            model_path, dataset_path, workers=2, chunk_size=2, chunk_timeout_s=2.0
-        ) as pool:
-            pool.warmup()  # keep worker start-up out of the stall window
-            started = time.monotonic()
-            results = pool.match_many(trajectories, return_errors=True)
-            elapsed = time.monotonic() - started
-            assert pool.worker_respawns >= 1
-        assert elapsed < 40.0  # far below the 60s hang: the detector fired
-        assert_results_identical(serial, results)
 
 
 class TestTrainingKillResume:
@@ -274,22 +174,6 @@ class TestTrainingKillResume:
         assert filecmp.cmp(uninterrupted_model, out, shallow=False)
 
 
-class TestWarmupDiagnostics:
-    def test_warmup_names_the_broken_model_file(self, saved_paths, tmp_path):
-        _, dataset_path = saved_paths
-        bad_model = tmp_path / "model.npz"
-        bad_model.write_bytes(b"this is not a numpy archive")
-        pool = ParallelMatcher(str(bad_model), dataset_path, workers=1)
-        try:
-            with pytest.raises(PoolBroken) as excinfo:
-                pool.warmup()
-        finally:
-            pool.close()
-        message = str(excinfo.value)
-        assert "worker initialisation failed" in message
-        assert "model.npz" in message
-
-
 class TestServeUnderFaults:
     def _points(self, sample):
         return [
@@ -302,73 +186,52 @@ class TestServeUnderFaults:
             for p in sample.cellular.points
         ]
 
-    def test_worker_crash_returns_500_and_server_survives(
-        self, saved_paths, trained_lhmm, tiny_dataset, monkeypatch, tmp_path
+    def test_worker_killed_mid_request_answers_503_and_server_survives(
+        self, boot_gateway, trained_lhmm, tiny_dataset, tmp_path
     ):
-        model_path, dataset_path = saved_paths
+        """The only worker dies holding a request: the client gets a
+        retryable 503 (not a hung or dropped connection), ``/healthz``
+        shows the respawn, and the respawned worker answers the retry."""
         token = tmp_path / "kill.token"
-        monkeypatch.setenv(
-            faults.ENV_VAR, f"worker.chunk:kill:chunk=0:once={token}"
-        )
-        pool = ParallelMatcher(
-            model_path, dataset_path, workers=1, chunk_size=4, respawn_limit=0
-        )
-        config = ServeConfig(port=0, batch_window_ms=5.0)
+        server = boot_gateway(fault_spec=f"cluster.op:kill:op=match:once={token}")
+        client = MatchingClient(server.host, server.port, timeout=120.0)
         sample = tiny_dataset.test[0]
-        try:
-            with MatchingServer(trained_lhmm, config, pool=pool) as server:
-                client = MatchingClient(server.host, server.port, timeout=120.0)
-                with pytest.raises(ServeClientError) as excinfo:
-                    client._request(
-                        "POST", "/v1/match", {"points": self._points(sample)}
-                    )
-                assert excinfo.value.status == 500
-                assert excinfo.value.payload["code"] == "pool_broken"
-                health = client.health()
-                assert health["status"] == "degraded"
-                assert health["degraded"]["worker_respawns_total"] >= 1
-                assert health["degraded"]["match_failed_total"] >= 1
-                metrics = client.metrics()
-                assert metrics["counters"]["worker_respawns_total"] >= 1
-                assert metrics["pool"]["failed_items_total"] >= 1
-                # The pool was rebuilt and the one-shot fault is spent: the
-                # very same server answers the retry correctly.
-                retry = client._request(
-                    "POST", "/v1/match", {"points": self._points(sample)}
-                )["result"]
-                assert retry["path"] == trained_lhmm.match(sample.cellular).path
-        finally:
-            pool.close()
+        with pytest.raises(ServerBusy) as excinfo:
+            client._request("POST", "/v1/match", {"points": self._points(sample)})
+        assert excinfo.value.status == 503
+        assert token.exists()  # the fault really fired
+        retry = client.match_with_retry(
+            [sample.cellular], max_attempts=10, base_delay_s=0.1
+        )
+        assert retry[0]["path"] == trained_lhmm.match(sample.cellular).path
+        health = client.health()
+        assert health["status"] == "degraded"
+        assert health["degraded"]["worker_respawns_total"] >= 1
+        counters = client.metrics()["counters"]
+        assert counters["worker_deaths_total"] >= 1
+        assert counters["worker_respawns_total"] >= 1
 
-    def test_pool_recovery_is_invisible_to_the_client(
-        self, saved_paths, serial_reference, trained_lhmm, monkeypatch, tmp_path
+    def test_worker_loss_is_invisible_to_the_client(
+        self, boot_gateway, serial_reference, tmp_path
     ):
-        """With respawn budget, a mid-batch worker kill costs latency only:
-        the client sees complete, non-degraded, serial-identical results."""
-        model_path, dataset_path = saved_paths
+        """With a sibling alive, a worker killed mid-batch costs latency
+        only: the request fails over and the client sees complete,
+        non-degraded, serial-identical results."""
         trajectories, serial = serial_reference
         token = tmp_path / "kill.token"
-        monkeypatch.setenv(
-            faults.ENV_VAR, f"worker.chunk:kill:chunk=0:once={token}"
+        server = boot_gateway(
+            fault_spec=f"cluster.op:kill:op=match:once={token}", num_workers=2
         )
-        pool = ParallelMatcher(model_path, dataset_path, workers=1, chunk_size=2)
-        config = ServeConfig(port=0, batch_window_ms=5.0, request_timeout_s=120.0)
-        try:
-            with MatchingServer(trained_lhmm, config, pool=pool) as server:
-                client = MatchingClient(server.host, server.port, timeout=120.0)
-                results = client.match(trajectories[:4])
-                assert [r["path"] for r in results] == [s.path for s in serial[:4]]
-                assert all("error" not in r for r in results)
-                assert all(r["provenance"] == "lhmm" for r in results)
-                health = client.health()
-                assert health["status"] == "degraded"  # respawns are visible
-                assert health["degraded"]["worker_respawns_total"] >= 1
-                assert health["degraded"]["match_failed_total"] == 0
-                # Subsequent batch on the same pool.
-                again = client.match(trajectories[:2])
-                assert [r["path"] for r in again] == [s.path for s in serial[:2]]
-        finally:
-            pool.close()
+        client = MatchingClient(server.host, server.port, timeout=120.0)
+        results = client.match(trajectories[:4])
+        assert token.exists()
+        assert [r["path"] for r in results] == [s.path for s in serial[:4]]
+        assert all(r["provenance"] == "lhmm" for r in results)
+        health = client.health()
+        assert health["status"] == "degraded"  # the death is visible
+        assert health["degraded"]["match_failed_total"] == 0
+        again = client.match(trajectories[:2])
+        assert [r["path"] for r in again] == [s.path for s in serial[:2]]
 
     def test_cluster_worker_sigkill_handoff_and_no_shm_leak(
         self, saved_paths, trained_lhmm, tiny_dataset
@@ -489,27 +352,23 @@ class TestServeUnderFaults:
                     raise
                 time.sleep(0.25)
 
-    def test_drain_waits_for_slow_pool_chunk(
-        self, saved_paths, serial_reference, trained_lhmm, monkeypatch, tmp_path
+    def test_drain_waits_for_slow_worker_op(
+        self, boot_gateway, serial_reference, tmp_path
     ):
-        """Graceful shutdown under a wedged-then-slow chunk: the admitted
-        request is still answered correctly, never dropped."""
-        model_path, dataset_path = saved_paths
+        """Graceful shutdown under a wedged-then-slow match op: the
+        admitted request is still answered correctly, never dropped."""
         trajectories, serial = serial_reference
         token = tmp_path / "hang.token"
-        monkeypatch.setenv(
-            faults.ENV_VAR, f"worker.chunk:hang:chunk=0:seconds=2:once={token}"
+        server = boot_gateway(
+            fault_spec=f"cluster.op:hang:op=match:seconds=2:once={token}"
         )
-        pool = ParallelMatcher(model_path, dataset_path, workers=1, chunk_size=4)
-        config = ServeConfig(port=0, batch_window_ms=5.0, request_timeout_s=120.0)
-        server = MatchingServer(trained_lhmm, config, pool=pool).start()
         client = MatchingClient(server.host, server.port, timeout=120.0)
-        try:
-            with ThreadPoolExecutor(max_workers=1) as executor:
-                in_flight = executor.submit(client.match, trajectories[0])
-                time.sleep(0.5)  # request admitted + dispatched to the pool
-                server.shutdown()  # must drain, not drop, the slow chunk
-                results = in_flight.result(timeout=60)
-            assert results[0]["path"] == serial[0].path
-        finally:
-            pool.close()
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            in_flight = executor.submit(client.match, trajectories[0])
+            deadline = time.monotonic() + 10.0
+            while not token.exists():  # admitted and inside the worker
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            server.shutdown()  # must drain, not drop, the slow op
+            results = in_flight.result(timeout=60)
+        assert results[0]["path"] == serial[0].path

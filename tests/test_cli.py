@@ -311,31 +311,80 @@ class TestServeParser:
     def test_serve_accepts_tuning_flags(self):
         # Parses without touching the filesystem: unknown files only fail
         # once the command body runs, so a bad flag is a parse error here.
-        parser_error = None
-        try:
-            from repro.cli import _build_parser
+        from repro.cli import _build_parser
 
-            args = _build_parser().parse_args(
-                [
-                    "serve",
-                    "--dataset", "city.json.gz",
-                    "--model", "model.npz",
-                    "--port", "0",
-                    "--workers", "2",
-                    "--batch-window-ms", "10",
-                    "--batch-max", "8",
-                    "--queue-limit", "32",
-                    "--max-sessions", "16",
-                    "--session-ttl", "60",
-                    "--lag", "3",
-                ]
-            )
-        except SystemExit as error:  # pragma: no cover - parse failure
-            parser_error = error
-        assert parser_error is None
+        args = _build_parser().parse_args(
+            [
+                "serve",
+                "--dataset", "city.json.gz",
+                "--model", "model.npz",
+                "--port", "0",
+                "--workers", "2",
+                "--max-inflight", "32",
+                "--cache-size", "0",
+                "--max-sessions", "16",
+                "--session-ttl", "60",
+                "--lag", "3",
+            ]
+        )
         assert args.command == "serve"
-        assert args.queue_limit == 32
+        assert args.max_inflight == 32
         assert args.lag == 3
+
+
+class TestServeCommandLine:
+    """``serve`` always starts the gateway; the command line the
+    benchmark passes (with ``--cluster``) must keep meaning the same."""
+
+    BENCH_ARGS = ["--dataset", "D", "--model", "M", "--workers", "1", "--port", "0"]
+
+    def test_cluster_flag_changes_nothing(self):
+        from repro.cli import _build_parser, _cluster_config
+
+        parser = _build_parser()
+        with_flag = parser.parse_args(["serve", "--cluster", *self.BENCH_ARGS])
+        without = parser.parse_args(["serve", *self.BENCH_ARGS])
+        assert _cluster_config(with_flag) == _cluster_config(without)
+        config = _cluster_config(without)
+        assert (config.num_workers, config.port) == (1, 0)
+
+    #: argparse ``dest`` names of the options that only tuned the
+    #: threaded server; each must now be a usage error.
+    REMOVED = ["batch_window_ms", "batch_max", "queue_limit", "chunk_timeout",
+               "log_requests"]
+
+    @pytest.mark.parametrize("dest", REMOVED)
+    def test_removed_flags_are_usage_errors(self, dest, capsys):
+        from repro.cli import _build_parser
+
+        args = _build_parser().parse_args(["serve", *self.BENCH_ARGS])
+        assert not hasattr(args, dest)
+        flag = "--" + dest.replace("_", "-")
+        value = [] if dest == "log_requests" else ["1"]
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", *self.BENCH_ARGS, flag, *value])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_serve_prints_the_gateway_banner_and_drains(
+        self, served_paths, monkeypatch, capsys
+    ):
+        from repro.serve import ClusterServer
+
+        def interrupt(self):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(ClusterServer, "serve_forever", interrupt)
+        dataset_path, model_path = served_paths
+        code = main(
+            ["serve", "--cluster", "--dataset", dataset_path, "--model",
+             model_path, "--workers", "1", "--port", "0"]
+        )
+        assert code == 0
+        out = capsys.readouterr().out
+        # perfbench/serve.py reads the port from this banner.
+        assert "cluster gateway at http://127.0.0.1:" in out
+        assert "drained; committed 0 open sessions" in out
 
 
 class TestProfile:

@@ -3,11 +3,11 @@
 import pytest
 
 from repro.errors import (
+    ArtifactCorrupt,
     DegradedResult,
     InvalidTrajectoryInput,
     MatchError,
     MatchFailure,
-    PoolBroken,
     ReproError,
     RoutingFailure,
     WorkerCrash,
@@ -22,7 +22,7 @@ class TestTaxonomy:
             MatchFailure,
             RoutingFailure,
             WorkerCrash,
-            PoolBroken,
+            ArtifactCorrupt,
             DegradedResult,
         ):
             assert issubclass(klass, ReproError)
@@ -34,7 +34,7 @@ class TestTaxonomy:
         assert issubclass(MatchFailure, RuntimeError)
         assert issubclass(RoutingFailure, RuntimeError)
         assert issubclass(WorkerCrash, RuntimeError)
-        assert issubclass(PoolBroken, RuntimeError)
+        assert issubclass(ArtifactCorrupt, RuntimeError)
 
     def test_codes_are_unique_and_stable(self):
         codes = {
@@ -45,7 +45,7 @@ class TestTaxonomy:
                 MatchFailure,
                 RoutingFailure,
                 WorkerCrash,
-                PoolBroken,
+                ArtifactCorrupt,
                 DegradedResult,
             )
         }
@@ -56,7 +56,7 @@ class TestTaxonomy:
     def test_http_status_split(self):
         assert InvalidTrajectoryInput.http_status == 422
         assert MatchFailure.http_status == 500
-        assert PoolBroken.http_status == 500
+        assert ArtifactCorrupt.http_status == 500
 
     def test_to_payload(self):
         payload = RoutingFailure("ubodt table corrupt").to_payload()
@@ -77,7 +77,7 @@ class TestMatchErrorSlot:
         assert slot.http_status == 500
 
     def test_raise_round_trips_the_taxonomy_class(self):
-        for klass in (InvalidTrajectoryInput, RoutingFailure, WorkerCrash, PoolBroken):
+        for klass in (InvalidTrajectoryInput, RoutingFailure, WorkerCrash, ArtifactCorrupt):
             slot = MatchError.from_exception(klass("boom"))
             with pytest.raises(klass, match="boom"):
                 slot.raise_()

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.core import LHMM, ParallelMatcher
-from repro.datasets import save_dataset
+from repro.core.parallel import fork_match_many
+from repro.errors import WorkerCrash
+from repro.testing import faults
 
 
 def assert_results_identical(serial, parallel) -> None:
@@ -48,32 +49,17 @@ class TestForkMatchMany:
         assert_results_identical(serial, parallel)
         assert trained_lhmm.last_parallel_stats["chunks"] == 5
 
-
-class TestParallelMatcher:
-    @pytest.fixture(scope="class")
-    def saved_paths(self, tmp_path_factory, trained_lhmm, tiny_dataset):
-        root = tmp_path_factory.mktemp("parallel")
-        model_path = root / "model.npz"
-        dataset_path = root / "tiny.json.gz"
-        trained_lhmm.save(model_path)
-        save_dataset(tiny_dataset, dataset_path)
-        return model_path, dataset_path
-
-    def test_file_backed_pool_matches_serial_load(self, saved_paths, tiny_dataset):
-        from repro.datasets import load_dataset
-
-        model_path, dataset_path = saved_paths
-        reloaded = LHMM.load(model_path, load_dataset(dataset_path))
+    def test_worker_crash_raises_and_match_many_reanswers_serially(
+        self, trained_lhmm, tiny_dataset
+    ):
+        """A SIGKILLed forked worker is not respawned: the pool raises
+        WorkerCrash, and ``match_many`` re-answers the batch serially."""
         trajectories = [sample.cellular for sample in tiny_dataset.test][:4]
-        serial = reloaded.match_many(trajectories)
-        with ParallelMatcher(model_path, dataset_path, workers=2, chunk_size=2) as pool:
-            parallel = pool.match_many(trajectories)
-            stats = pool.stats()
-        assert_results_identical(serial, parallel)
-        assert stats["chunks"] == 2
-        assert stats["per_worker"]
-
-    def test_empty_batch(self, saved_paths):
-        model_path, dataset_path = saved_paths
-        with ParallelMatcher(model_path, dataset_path, workers=2) as pool:
-            assert pool.match_many([]) == []
+        serial = trained_lhmm.match_many(trajectories)
+        # Armed in this process, inherited by the forked workers only:
+        # the fault point fires inside the pool's chunk function.
+        with faults.armed("worker.chunk", "kill", chunk=0):
+            with pytest.raises(WorkerCrash, match="rerun serially"):
+                fork_match_many(trained_lhmm, trajectories, workers=2, chunk_size=2)
+            recovered = trained_lhmm.match_many(trajectories, workers=2)
+        assert_results_identical(serial, recovered)

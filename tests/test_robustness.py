@@ -1,7 +1,7 @@
 """Fast robustness tests: input validation, the degradation cascade,
 per-item error slots, and client-side retry backoff.
 
-Process-killing and pool-healing scenarios live in ``test_chaos.py``
+Worker-killing and fleet-healing scenarios live in ``test_chaos.py``
 (``pytest -m chaos``); everything here runs in-process.
 """
 
@@ -11,7 +11,6 @@ import random
 import pytest
 
 from repro.cellular.trajectory import Trajectory, TrajectoryPoint
-from repro.core import ParallelMatcher
 from repro.errors import InvalidTrajectoryInput, MatchError, MatchFailure
 from repro.geometry import Point
 from repro.serve import MatchingClient, ServeClientError, ServerBusy
@@ -133,20 +132,6 @@ class TestSerialErrorSlots:
         good = tiny_dataset.test[0].cellular
         with pytest.raises(InvalidTrajectoryInput):
             trained_lhmm.match_many([good, Trajectory(points=[])])
-
-
-class TestParallelMatcherConstruction:
-    def test_missing_model_file_fails_fast(self, tmp_path):
-        dataset = tmp_path / "city.json.gz"
-        dataset.write_bytes(b"placeholder")
-        with pytest.raises(FileNotFoundError, match="nope.npz"):
-            ParallelMatcher(tmp_path / "nope.npz", dataset)
-
-    def test_missing_dataset_file_fails_fast(self, tmp_path):
-        model = tmp_path / "model.npz"
-        model.write_bytes(b"placeholder")
-        with pytest.raises(FileNotFoundError, match="absent.json.gz"):
-            ParallelMatcher(model, tmp_path / "absent.json.gz")
 
 
 class _FlakyClient(MatchingClient):

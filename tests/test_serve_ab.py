@@ -1,4 +1,4 @@
-"""Live A/B traffic splitting, end to end, on both deployment shapes.
+"""Live A/B traffic splitting, end to end, on the gateway.
 
 Two model generations serve simultaneously — the raw-weight champion and
 an EMA-weight challenger of the same artifact — with the deterministic
@@ -9,8 +9,7 @@ compared byte-identically against the generation that must have produced
 it, and the per-generation ``/metrics`` counters must sum to exactly the
 number of admitted trajectories.  ``promote`` atomically makes the
 challenger the sole serving generation; ``abort`` drops it without a
-trace.  The same contract is proven against the threaded
-:class:`MatchingServer` and the multi-process cluster gateway.
+trace.
 """
 
 from __future__ import annotations
@@ -27,9 +26,7 @@ from repro.serve import (
     ClusterConfig,
     ClusterServer,
     MatchingClient,
-    MatchingServer,
     ServeClientError,
-    ServeConfig,
     ShardRegistry,
     ShardSpec,
     canonical_key,
@@ -74,135 +71,6 @@ def _expect(samples, to_challenger, champion, challenger):
 def _generation_counters(metrics_ab):
     """``role -> counters`` from one region/server A/B snapshot."""
     return {g["role"]: g for g in metrics_ab["generations"].values()}
-
-
-# --------------------------------------------------------------------------
-# Threaded server
-# --------------------------------------------------------------------------
-
-
-@pytest.fixture()
-def server(trained_lhmm, tiny_dataset, model_artifact):
-    config = ServeConfig(port=0, batch_window_ms=5.0)
-    running = MatchingServer(
-        trained_lhmm,
-        config,
-        model_path=str(model_artifact),
-        dataset=tiny_dataset,
-    )
-    with running:
-        yield running
-
-
-@pytest.fixture()
-def client(server):
-    return MatchingClient(server.host, server.port, timeout=60.0)
-
-
-class TestThreadedAB:
-    def test_split_is_exact_and_both_generations_bit_identical(
-        self, client, trained_lhmm, ema_matcher, tiny_dataset, model_artifact
-    ):
-        info = client.start_ab(split=0.5, weights="ema")
-        assert info["status"] == "ab_started"
-        assert info["champion_generation"] == 1
-        assert info["challenger_generation"] == 2
-        assert info["challenger_model"] == str(model_artifact)
-        assert info["challenger_weights"] == "ema"
-        assert client.health()["model"]["ab_live"] is True
-
-        samples = tiny_dataset.samples[:12]
-        to_challenger = _assigned(samples, 0.5)
-        assert any(to_challenger) and not all(to_challenger), (
-            "fixture corpus must exercise both generations at split=0.5"
-        )
-        served = client.match([s.cellular for s in samples])
-        assert served == _expect(samples, to_challenger, trained_lhmm, ema_matcher)
-
-        ab = client.metrics()["ab"]
-        assert ab["split"] == 0.5
-        roles = _generation_counters(ab)
-        assert roles["challenger"]["requests"] == sum(to_challenger)
-        assert roles["champion"]["requests"] == len(samples) - sum(to_challenger)
-        assert roles["champion"]["failed"] == roles["challenger"]["failed"] == 0
-        # Exactness of the sum is the no-dropped-requests claim.
-        total = roles["champion"]["requests"] + roles["challenger"]["requests"]
-        assert total == len(samples)
-
-    def test_promote_makes_challenger_the_sole_generation(
-        self, client, ema_matcher, tiny_dataset
-    ):
-        client.start_ab(split=0.3, weights="ema")
-        samples = tiny_dataset.samples[:8]
-        client.match([s.cellular for s in samples])
-
-        info = client.promote_ab()
-        assert info["status"] == "promoted"
-        assert info["generation"] == 2
-        snapshot = info["ab"]
-        roles = _generation_counters(snapshot)
-        assert (
-            roles["champion"]["requests"] + roles["challenger"]["requests"]
-            == len(samples)
-        )
-
-        health = client.health()
-        assert health["model"]["ab_live"] is False
-        assert health["model"]["model_generation"] == 2
-        # Every post-promote response is the challenger's, bit-identical.
-        served = client.match([s.cellular for s in samples])
-        assert served == _expect(samples, [True] * len(samples), None, ema_matcher)
-        counters = client.metrics()["counters"]
-        assert counters["ab_promotions_total"] == 1
-        assert "ab" not in client.metrics()
-
-    def test_abort_restores_the_champion_untouched(
-        self, client, trained_lhmm, tiny_dataset
-    ):
-        client.start_ab(split=0.9, weights="ema")
-        info = client.abort_ab()
-        assert info["status"] == "aborted"
-        assert info["generation"] == 1
-        samples = tiny_dataset.samples[:6]
-        served = client.match([s.cellular for s in samples])
-        assert served == _expect(samples, [False] * len(samples), trained_lhmm, None)
-        assert client.health()["model"]["model_generation"] == 1
-        assert client.metrics()["counters"]["ab_aborts_total"] == 1
-
-    def test_lifecycle_refusals(self, client):
-        with pytest.raises(ServeClientError) as excinfo:
-            client.promote_ab()
-        assert excinfo.value.status == 409
-        with pytest.raises(ServeClientError) as excinfo:
-            client.abort_ab()
-        assert excinfo.value.status == 409
-
-        client.start_ab(split=0.5)
-        with pytest.raises(ServeClientError) as excinfo:
-            client.start_ab(split=0.5)
-        assert excinfo.value.status == 409
-        # A hot reload must not yank the champion from under a live test.
-        with pytest.raises(ServeClientError) as excinfo:
-            client.reload_model()
-        assert excinfo.value.status == 409
-        client.abort_ab()
-
-    @pytest.mark.parametrize("split", [0, -0.5, 1.5, "half", True])
-    def test_invalid_split_is_rejected(self, client, split):
-        with pytest.raises(ServeClientError) as excinfo:
-            client.start_ab(split=split)
-        assert excinfo.value.status == 400
-        assert client.health()["model"]["ab_live"] is False
-
-    def test_invalid_weights_is_rejected(self, client):
-        with pytest.raises(ServeClientError) as excinfo:
-            client.start_ab(weights="fp16")
-        assert excinfo.value.status == 400
-
-
-# --------------------------------------------------------------------------
-# Cluster gateway
-# --------------------------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +149,96 @@ class TestClusterAB:
         assert counters["ab_promotions_total"] == 1
         assert counters["ab_challenger_deaths_total"] == 0
 
+    def test_split_is_exact_and_both_generations_bit_identical(
+        self, cluster_client, trained_lhmm, ema_matcher, tiny_dataset,
+        cluster_paths,
+    ):
+        client = cluster_client
+        info = client.start_ab(split=0.5, weights="ema")
+        assert info["champion_generation"] == 1
+        assert info["challenger_generation"] == 2
+        assert info["challenger_model"] == cluster_paths[1]
+        assert info["challenger_weights"] == "ema"
+        assert client.health()["ab_live"] == ["default"]
+
+        samples = tiny_dataset.samples[:12]
+        to_challenger = _assigned(samples, 0.5)
+        assert any(to_challenger) and not all(to_challenger), (
+            "fixture corpus must exercise both generations at split=0.5"
+        )
+        served = client.match([s.cellular for s in samples])
+        assert served == _expect(samples, to_challenger, trained_lhmm, ema_matcher)
+
+        ab = client.metrics()["ab"]["default"]
+        assert ab["split"] == 0.5
+        roles = _generation_counters(ab)
+        assert roles["challenger"]["requests"] == sum(to_challenger)
+        assert roles["champion"]["requests"] == len(samples) - sum(to_challenger)
+        assert roles["champion"]["failed"] == roles["challenger"]["failed"] == 0
+        # Exactness of the sum is the no-dropped-requests claim.
+        total = roles["champion"]["requests"] + roles["challenger"]["requests"]
+        assert total == len(samples)
+        client.abort_ab()
+
+    def test_promote_makes_challenger_the_sole_generation(
+        self, cluster_client, ema_matcher, tiny_dataset
+    ):
+        client = cluster_client
+        client.start_ab(split=0.3, weights="ema")
+        samples = tiny_dataset.samples[:8]
+        client.match([s.cellular for s in samples])
+
+        info = client.promote_ab()
+        assert info["generation"] == 2
+        roles = _generation_counters(info["ab"])
+        assert (
+            roles["champion"]["requests"] + roles["challenger"]["requests"]
+            == len(samples)
+        )
+
+        health = client.health()
+        assert health["ab_live"] == []
+        assert health["generations"]["default"] == 2
+        # Every post-promote response is the challenger's, bit-identical.
+        served = client.match([s.cellular for s in samples])
+        assert served == _expect(samples, [True] * len(samples), None, ema_matcher)
+        metrics = client.metrics()
+        assert metrics["counters"]["ab_promotions_total"] == 1
+        assert "ab" not in metrics
+
+    def test_abort_restores_the_champion_untouched(
+        self, cluster_client, trained_lhmm, tiny_dataset
+    ):
+        client = cluster_client
+        client.start_ab(split=0.9, weights="ema")
+        info = client.abort_ab()
+        assert info["generation"] == 1
+        samples = tiny_dataset.samples[:6]
+        served = client.match([s.cellular for s in samples])
+        assert served == _expect(samples, [False] * len(samples), trained_lhmm, None)
+        assert client.health()["generations"]["default"] == 1
+        assert client.metrics()["counters"]["ab_aborts_total"] == 1
+
+    def test_lifecycle_refusals(self, cluster_client):
+        client = cluster_client
+        with pytest.raises(ServeClientError) as excinfo:
+            client.promote_ab()
+        assert excinfo.value.status == 409
+        with pytest.raises(ServeClientError) as excinfo:
+            client.abort_ab()
+        assert excinfo.value.status == 409
+
+        client.start_ab(split=0.5)
+        with pytest.raises(ServeClientError) as excinfo:
+            client.start_ab(split=0.2, weights="ema")
+        assert excinfo.value.status == 409
+        # A refused start leaves the live test exactly as it was.
+        ab = client.metrics()["ab"]["default"]
+        assert ab["split"] == 0.5
+        assert ab["challenger_weights"] != "ema"
+        assert client.metrics()["counters"]["ab_starts_total"] == 1
+        client.abort_ab()
+
     def test_abort_drops_the_challenger_without_a_trace(
         self, cluster_client, trained_lhmm, tiny_dataset
     ):
@@ -349,3 +307,16 @@ class TestClusterAB:
         assert roles["champion"]["requests"] == len(samples)
         assert roles["challenger"]["requests"] == 0
         client.abort_ab()
+
+    @pytest.mark.parametrize("split", [0, -0.5, 1.5, "half", True])
+    def test_invalid_split_is_rejected(self, cluster_client, split):
+        with pytest.raises(ServeClientError) as excinfo:
+            cluster_client.start_ab(split=split)
+        assert excinfo.value.status == 400
+        assert cluster_client.health()["ab_live"] == []
+
+    def test_invalid_weights_is_rejected(self, cluster_client):
+        with pytest.raises(ServeClientError) as excinfo:
+            cluster_client.start_ab(weights="fp16")
+        assert excinfo.value.status == 400
+        assert cluster_client.health()["ab_live"] == []

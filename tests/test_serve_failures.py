@@ -1,31 +1,25 @@
-"""Serve-layer failure paths: status mapping, per-item error slots,
-degraded health, hot-reload canary rollback.  All in-process —
-pool/worker-killing scenarios are in ``test_chaos.py``."""
+"""Serve-layer failure paths on the gateway: status mapping, per-item
+error slots, degraded health, and rollout refusals that keep the old
+generation serving.  Worker-killing scenarios are in ``test_chaos.py``.
+
+Faults reach the forked workers through ``REPRO_FAULTS``, armed while a
+per-test gateway forks its fleet (``boot_gateway(fault_spec=...)``).
+Inside a worker a trajectory's ``trajectory_id`` is its batch index.
+"""
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.nn.serialization import write_artifact
-from repro.serve import (
-    MatchingClient,
-    MatchingServer,
-    ServeClientError,
-    ServeConfig,
-)
+from repro.serve import MatchingClient, ServeClientError, protocol
 from repro.testing import faults
 
 
 @pytest.fixture()
-def server(trained_lhmm):
-    config = ServeConfig(port=0, batch_window_ms=5.0)
-    with MatchingServer(trained_lhmm, config) as running:
-        yield running
-
-
-@pytest.fixture()
-def client(server):
-    return MatchingClient(server.host, server.port)
+def client(gateway):
+    return MatchingClient(gateway.host, gateway.port, timeout=60.0)
 
 
 def _points(sample):
@@ -75,46 +69,41 @@ class TestStatusMapping:
 
 class TestPerItemFaultIsolation:
     def test_one_failing_trajectory_does_not_void_the_batch(
-        self, client, trained_lhmm, tiny_dataset
+        self, boot_gateway, trained_lhmm, tiny_dataset
     ):
+        # The "match" fault point sits outside the degradation cascade,
+        # so trajectory 1 fails outright while 0 and 2 succeed.
+        server = boot_gateway(fault_spec="match:raise:trajectory_id=1")
+        client = MatchingClient(server.host, server.port, timeout=60.0)
         samples = tiny_dataset.test[:3]
-        trained_lhmm.degradation_enabled = False
-        try:
-            # The "match" fault point sits outside the cascade, so
-            # trajectory 1 fails outright while 0 and 2 succeed.
-            with faults.armed("match", "raise", trajectory_id=1):
-                results = client._request(
-                    "POST",
-                    "/v1/match",
-                    {"trajectories": [_points(s) for s in samples]},
-                )["results"]
-        finally:
-            trained_lhmm.degradation_enabled = True
+        results = client._request(
+            "POST", "/v1/match", {"trajectories": [_points(s) for s in samples]}
+        )["results"]
         assert results[1]["error"]["code"] == "match_failure"
-        expected = [trained_lhmm.match(s.cellular).path for s in samples]
-        assert results[0]["path"] == expected[0]
-        assert results[2]["path"] == expected[2]
-        metrics = client.metrics()
-        assert metrics["counters"]["match_failed_total"] >= 1
-        assert metrics["counters"]["trajectories_matched"] >= 2
+        for i in (0, 2):
+            assert results[i] == protocol.encode_match_result(
+                trained_lhmm.match(samples[i].cellular)
+            )
+        counters = client.metrics()["counters"]
+        assert counters["match_failed_total"] == 1
+        assert counters["trajectories_matched"] == 2
 
     def test_single_trajectory_failure_is_500_and_server_survives(
-        self, client, trained_lhmm, tiny_dataset
+        self, boot_gateway, trained_lhmm, tiny_dataset, tmp_path
     ):
+        token = tmp_path / "raise-once"
+        server = boot_gateway(fault_spec=f"match:raise:trajectory_id=0:once={token}")
+        client = MatchingClient(server.host, server.port, timeout=60.0)
         sample = tiny_dataset.test[0]
-        trained_lhmm.degradation_enabled = False
-        try:
-            with faults.armed("match", "raise", trajectory_id=0):
-                with pytest.raises(ServeClientError) as excinfo:
-                    client._request("POST", "/v1/match", {"points": _points(sample)})
-        finally:
-            trained_lhmm.degradation_enabled = True
+        with pytest.raises(ServeClientError) as excinfo:
+            client._request("POST", "/v1/match", {"points": _points(sample)})
         assert excinfo.value.status == 500
         assert excinfo.value.payload["code"] == "match_failure"
-        # The daemon answered a failure, it did not die on it.
+        # The worker answered a failure, it did not die on it.
         assert client._request("POST", "/v1/match", {"points": _points(sample)})[
             "result"
         ]["path"] == trained_lhmm.match(sample.cellular).path
+        assert client.health()["workers_alive"] == 1
 
 
 class TestDegradedHealth:
@@ -130,20 +119,18 @@ class TestDegradedHealth:
         assert counters["match_degraded_total"] == 0
         assert counters["worker_respawns_total"] == 0
 
-    def test_degraded_match_flips_health_and_counts(
-        self, client, trained_lhmm, tiny_dataset
-    ):
-        sample = tiny_dataset.test[0]
-        with faults.armed("match.learned", "raise"):
-            result = client._request(
-                "POST", "/v1/match", {"points": _points(sample)}
-            )["result"]
+    def test_degraded_match_flips_health_and_counts(self, boot_gateway, tiny_dataset):
+        server = boot_gateway(fault_spec="match.learned:raise")
+        client = MatchingClient(server.host, server.port, timeout=60.0)
+        result = client._request(
+            "POST", "/v1/match", {"points": _points(tiny_dataset.test[0])}
+        )["result"]
         assert result["provenance"] == "heuristic_hmm"
         assert result["path"]
         health = client.health()
         assert health["status"] == "degraded"
-        assert health["degraded"]["match_degraded_total"] >= 1
-        assert client.metrics()["counters"]["match_degraded_total"] >= 1
+        assert health["degraded"]["match_degraded_total"] == 1
+        assert client.metrics()["counters"]["match_degraded_total"] == 1
 
     def test_normal_results_carry_lhmm_provenance(self, client, tiny_dataset):
         result = client._request(
@@ -152,133 +139,94 @@ class TestDegradedHealth:
         assert result["provenance"] == "lhmm"
 
 
-@pytest.fixture(scope="module")
-def model_artifact(tmp_path_factory, trained_lhmm):
-    path = tmp_path_factory.mktemp("reload") / "model.npz"
-    trained_lhmm.save(path)
-    return path
-
-
-@pytest.fixture()
-def reload_server(trained_lhmm, tiny_dataset, model_artifact):
-    config = ServeConfig(port=0, batch_window_ms=5.0)
-    with MatchingServer(
-        trained_lhmm,
-        config,
-        model_path=str(model_artifact),
-        dataset=tiny_dataset,
-    ) as running:
-        yield running
-
-
-@pytest.fixture()
-def reload_client(reload_server):
-    return MatchingClient(reload_server.host, reload_server.port)
-
-
 class TestModelReload:
-    def _model_counters(self, client):
-        counters = client.metrics()["counters"]
-        return {k: v for k, v in counters.items() if k.startswith("model_")}
+    """``POST /v1/admin/rollout`` re-reads or swaps the served artifact;
+    every refusal leaves the running generation serving untouched."""
+
+    def _generation(self, client):
+        return client.health()["generations"]["default"]
+
+    def _assert_still_serving(self, client, trained_lhmm, tiny_dataset):
+        sample = tiny_dataset.test[0]
+        result = client.match([sample.cellular])[0]
+        assert result == protocol.encode_match_result(trained_lhmm.match(sample.cellular))
 
     def test_successful_reload_bumps_generation(
-        self, reload_server, reload_client, model_artifact, tiny_dataset
+        self, client, trained_lhmm, tiny_dataset
     ):
-        info = reload_client.reload_model()
-        assert info["status"] == "reloaded"
-        assert info["generation"] == 2
-        assert info["model_path"] == str(model_artifact)
-        assert info["canary_trajectories"] == reload_server.DEFAULT_CANARY_COUNT
-        assert self._model_counters(reload_client) == {
-            "model_generation": 2,
-            "model_reloads_total": 1,
-            "model_reload_failures_total": 0,
-        }
-        # The swapped-in model answers requests.
-        result = reload_client.match([tiny_dataset.test[0].cellular])[0]
-        assert result["path"]
+        before = self._generation(client)
+        rollouts = client.metrics()["counters"]["rollouts_total"]
+        info = client.rollout()
+        assert info["region"] == "default"
+        assert info["generation"] == before + 1
+        assert info["workers_swapped"] == 1
+        assert info["workers_failed"] == 0
+        assert info["canary_checked"] >= 1
+        assert self._generation(client) == before + 1
+        assert client.metrics()["counters"]["rollouts_total"] == rollouts + 1
+        # The swapped-in generation answers byte-identically.
+        self._assert_still_serving(client, trained_lhmm, tiny_dataset)
 
-    def test_healthz_reports_the_model_section(self, reload_client):
-        health = reload_client.health()
-        assert health["model"] == {
-            "model_generation": 1,
-            "model_reloads_total": 0,
-            "model_reload_failures_total": 0,
-            "ab_live": False,
-        }
+    def test_healthz_reports_the_model_section(self, client):
+        health = client.health()
+        assert health["generations"]["default"] >= 1
+        assert health["ab_live"] == []
 
     def test_missing_artifact_is_refused_and_old_model_serves(
-        self, reload_server, reload_client, tmp_path, tiny_dataset, trained_lhmm
+        self, client, tmp_path, trained_lhmm, tiny_dataset
     ):
+        before = self._generation(client)
+        failures = client.metrics()["counters"].get("rollout_failures_total", 0)
         with pytest.raises(ServeClientError) as excinfo:
-            reload_client.reload_model(str(tmp_path / "nope.npz"))
+            client.rollout(model=str(tmp_path / "nope.npz"))
         assert excinfo.value.status == 500
         assert excinfo.value.payload["code"] == "model_reload_failed"
-        assert reload_server.matcher is trained_lhmm
-        assert self._model_counters(reload_client) == {
-            "model_generation": 1,
-            "model_reloads_total": 0,
-            "model_reload_failures_total": 1,
-        }
-        sample = tiny_dataset.test[0]
-        result = reload_client.match([sample.cellular])[0]
-        assert result["path"] == trained_lhmm.match(sample.cellular).path
+        assert self._generation(client) == before
+        assert client.metrics()["counters"]["rollout_failures_total"] == failures + 1
+        self._assert_still_serving(client, trained_lhmm, tiny_dataset)
 
     def test_corrupt_artifact_is_500_artifact_corrupt(
-        self, reload_server, reload_client, tmp_path, model_artifact
+        self, client, tmp_path, served_paths
     ):
-        blob = bytearray(model_artifact.read_bytes())
+        before = self._generation(client)
+        _, model_path = served_paths
+        with open(model_path, "rb") as handle:
+            blob = bytearray(handle.read())
         blob[len(blob) // 2] ^= 0xFF
         bad = tmp_path / "corrupt.npz"
         bad.write_bytes(bytes(blob))
         with pytest.raises(ServeClientError) as excinfo:
-            reload_client.reload_model(str(bad))
+            client.rollout(model=str(bad))
         assert excinfo.value.status == 500
         assert excinfo.value.payload["code"] == "artifact_corrupt"
-        assert self._model_counters(reload_client)[
-            "model_reload_failures_total"
-        ] == 1
-        assert reload_server.model_generation == 1
+        assert self._generation(client) == before
 
-    def test_incompatible_artifact_is_422(
-        self, reload_server, reload_client, tmp_path
-    ):
-        import numpy as np
-
+    def test_incompatible_artifact_is_422(self, client, tmp_path):
+        before = self._generation(client)
         wrong = tmp_path / "wrong-kind.npz"
         write_artifact(wrong, {"w": np.zeros(3)}, kind="module-state")
         with pytest.raises(ServeClientError) as excinfo:
-            reload_client.reload_model(str(wrong))
+            client.rollout(model=str(wrong))
         assert excinfo.value.status == 422
         assert excinfo.value.payload["code"] == "artifact_incompatible"
-        assert reload_server.model_generation == 1
+        assert self._generation(client) == before
 
     def test_failed_canary_keeps_the_old_model_serving(
-        self, reload_server, reload_client, trained_lhmm, tiny_dataset
+        self, client, gateway, trained_lhmm, tiny_dataset, monkeypatch
     ):
-        """The candidate loads fine but cannot match the canary corpus:
-        the swap is refused, the failure is counted, and the resident
-        model keeps answering."""
-        with faults.armed("match", "raise"):
-            with pytest.raises(ServeClientError) as excinfo:
-                reload_client.reload_model()
+        """The candidate stages fine but its canary probe fails: the
+        swap is refused, the failure is counted, and the resident
+        generation keeps answering."""
+        before = self._generation(client)
+        pids = [w["pid"] for w in client.metrics()["workers"]]
+        # Only the probe worker forks while this is armed.
+        monkeypatch.setenv(faults.ENV_VAR, "cluster.op:raise:op=canary")
+        with pytest.raises(ServeClientError) as excinfo:
+            client.rollout()
+        monkeypatch.delenv(faults.ENV_VAR)
         assert excinfo.value.status == 500
         assert excinfo.value.payload["code"] == "model_reload_failed"
         assert "canary" in excinfo.value.payload["error"]
-        assert reload_server.matcher is trained_lhmm
-        assert reload_server.model_generation == 1
-        assert self._model_counters(reload_client) == {
-            "model_generation": 1,
-            "model_reloads_total": 0,
-            "model_reload_failures_total": 1,
-        }
-        sample = tiny_dataset.test[0]
-        result = reload_client.match([sample.cellular])[0]
-        assert result["path"] == trained_lhmm.match(sample.cellular).path
-
-    def test_server_without_model_path_refuses_reload(self, client):
-        # The plain `server` fixture has no model_path/dataset wired in.
-        with pytest.raises(ServeClientError) as excinfo:
-            client.reload_model()
-        assert excinfo.value.status == 500
-        assert excinfo.value.payload["code"] == "model_reload_failed"
+        assert self._generation(client) == before
+        assert [w["pid"] for w in client.metrics()["workers"]] == pids
+        self._assert_still_serving(client, trained_lhmm, tiny_dataset)

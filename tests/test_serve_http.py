@@ -1,37 +1,26 @@
 """End-to-end tests of the HTTP matching service.
 
-Boots a real :class:`MatchingServer` on an ephemeral port and drives it
-through :class:`MatchingClient` — concurrent streaming sessions, batch
-matches, saturation (503 + ``Retry-After``), and graceful drain — always
+Boots the asyncio gateway (one forked worker) on an ephemeral port and
+drives it through :class:`MatchingClient` — concurrent streaming
+sessions, batch matches, saturation (503 + ``Retry-After``), graceful
+drain, and the HTTP reader's limits on untrusted bytes — always
 asserting results are *identical* to calling the matcher directly.
 """
 
-import threading
+import http.client
+import socket
 import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.core import OnlineLHMM
-from repro.serve import (
-    MatchingClient,
-    MatchingServer,
-    ServeClientError,
-    ServeConfig,
-    ServerBusy,
-)
+from repro.serve import MatchingClient, ServeClientError, ServerBusy, protocol
 
 
 @pytest.fixture()
-def server(trained_lhmm):
-    config = ServeConfig(port=0, batch_window_ms=5.0, default_lag=3)
-    with MatchingServer(trained_lhmm, config) as running:
-        yield running
-
-
-@pytest.fixture()
-def client(server):
-    return MatchingClient(server.host, server.port)
+def client(gateway):
+    return MatchingClient(gateway.host, gateway.port, timeout=60.0)
 
 
 class TestEndToEnd:
@@ -49,7 +38,7 @@ class TestEndToEnd:
             d.matched_sequence for d in direct
         ]
         for served, computed in zip(results, direct):
-            assert served["score"] == pytest.approx(computed.score)
+            assert served["score"] == computed.score
 
     def test_single_trajectory_shorthand(self, client, trained_lhmm, tiny_dataset):
         sample = tiny_dataset.test[0]
@@ -75,40 +64,45 @@ class TestEndToEnd:
             path = session.close()
         assert path == reference.finish()
 
-    def test_concurrent_streams_and_batches(self, client, trained_lhmm, tiny_dataset):
+    def test_concurrent_streams_and_batches(self, gateway, trained_lhmm, tiny_dataset):
         """Interleaved workloads on many threads stay isolated and exact."""
         stream_samples = tiny_dataset.test[:2]
         batch_samples = tiny_dataset.test[2:5]
 
         def run_stream(sample):
-            session = client.create_session(lag=3)
+            local = MatchingClient(gateway.host, gateway.port, timeout=60.0)
+            session = local.create_session(lag=3)
             for point in sample.cellular.points:
                 session.feed(point)
             return session.close()
 
         def run_batch(sample):
-            return client.match_with_retry([sample.cellular])[0]["path"]
+            local = MatchingClient(gateway.host, gateway.port, timeout=60.0)
+            return local.match_with_retry([sample.cellular])[0]
 
         with ThreadPoolExecutor(max_workers=5) as pool:
             stream_futures = [pool.submit(run_stream, s) for s in stream_samples]
             batch_futures = [pool.submit(run_batch, s) for s in batch_samples]
             stream_paths = [f.result(timeout=120) for f in stream_futures]
-            batch_paths = [f.result(timeout=120) for f in batch_futures]
+            batch_results = [f.result(timeout=120) for f in batch_futures]
 
         for sample, path in zip(stream_samples, stream_paths):
             assert path == OnlineLHMM(trained_lhmm, lag=3).match_stream(sample.cellular)
-        for sample, path in zip(batch_samples, batch_paths):
-            assert path == trained_lhmm.match(sample.cellular).path
+        for sample, result in zip(batch_samples, batch_results):
+            assert result == protocol.encode_match_result(
+                trained_lhmm.match(sample.cellular)
+            )
 
     def test_session_decoders_are_recycled_across_http_sessions(
-        self, client, server, tiny_dataset
+        self, client, tiny_dataset
     ):
         sample = tiny_dataset.test[0]
         for _ in range(2):
             session = client.create_session(lag=3)
             session.feed(list(sample.cellular.points))
             session.close()
-        assert client.metrics()["sessions"]["recycled_total"] >= 1
+        (worker,) = client.metrics()["workers"]
+        assert worker["sessions"]["default"]["recycled_total"] >= 1
 
 
 class TestErrorHandling:
@@ -131,10 +125,8 @@ class TestErrorHandling:
         assert excinfo.value.status == 400
         session.close()
 
-    def test_bad_json_is_400(self, client, server):
-        import http.client
-
-        connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+    def test_bad_json_is_400(self, gateway):
+        connection = http.client.HTTPConnection(gateway.host, gateway.port, timeout=10)
         try:
             connection.request(
                 "POST", "/v1/match", body=b"{not json",
@@ -149,43 +141,117 @@ class TestErrorHandling:
             client.create_session(lag=0)
         assert excinfo.value.status == 400
 
-    def test_session_limit_is_429(self, trained_lhmm):
-        config = ServeConfig(port=0, max_sessions=1)
-        with MatchingServer(trained_lhmm, config) as running:
-            client = MatchingClient(running.host, running.port)
+    def test_session_limit_is_429(self, boot_gateway):
+        server = boot_gateway(max_sessions=1)
+        client = MatchingClient(server.host, server.port, timeout=60.0)
+        client.create_session()
+        with pytest.raises(ServerBusy) as excinfo:
             client.create_session()
-            with pytest.raises(ServerBusy):
-                client.create_session()
+        assert excinfo.value.status == 429
+
+
+def _raw_exchange(gateway, request: bytes) -> tuple[int, bytes]:
+    """Send raw bytes; return the status and everything read until close."""
+    with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
+        sock.sendall(request)
+        chunks = []
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            chunks.append(chunk)
+    reply = b"".join(chunks)
+    status_line, _, rest = reply.partition(b"\r\n")
+    version, status, _ = status_line.split(b" ", 2)
+    assert version == b"HTTP/1.1"
+    head, _, body = rest.partition(b"\r\n\r\n")
+    headers = dict(
+        line.split(b": ", 1) for line in head.split(b"\r\n") if line
+    )
+    assert headers[b"Connection"] == b"close"
+    assert int(headers[b"Content-Length"]) == len(body)
+    return int(status), body
+
+
+class TestHttpReaderLimits:
+    """Untrusted bytes end in a well-formed 4xx + close, never a dropped
+    connection or a misparsed pipeline — and the gateway keeps serving."""
+
+    @pytest.fixture(autouse=True)
+    def _still_serving(self, gateway):
+        yield
+        assert MatchingClient(gateway.host, gateway.port).health()["status"] == "ok"
+
+    def test_request_line_over_64_kib_is_414(self, gateway):
+        request = b"GET /" + b"a" * (70 * 1024) + b" HTTP/1.1\r\n\r\n"
+        status, body = _raw_exchange(gateway, request)
+        assert status == 414
+        assert b"request line" in body
+
+    def test_header_line_over_64_kib_is_431(self, gateway):
+        request = (
+            b"GET /healthz HTTP/1.1\r\nX-Big: " + b"a" * (70 * 1024) + b"\r\n\r\n"
+        )
+        status, body = _raw_exchange(gateway, request)
+        assert status == 431
+        assert b"header line" in body
+
+    def test_more_than_100_headers_is_431(self, gateway):
+        headers = b"".join(b"X-H%d: v\r\n" % i for i in range(101))
+        status, body = _raw_exchange(
+            gateway, b"GET /healthz HTTP/1.1\r\n" + headers + b"\r\n"
+        )
+        assert status == 431
+        assert b"100 headers" in body
+
+    def test_non_numeric_content_length_is_400(self, gateway):
+        status, body = _raw_exchange(
+            gateway,
+            b"POST /v1/match HTTP/1.1\r\nContent-Length: ten\r\n\r\n{}",
+        )
+        assert status == 400
+        assert b"Content-Length" in body
+
+    def test_chunked_body_is_rejected_not_parsed_as_a_request(self, gateway):
+        # Were the chunk bytes read as the next pipelined request, the
+        # embedded GET would be answered too; the reader must stop at
+        # the first 4xx instead.
+        chunk = b"GET /healthz HTTP/1.1\r\n\r\n"
+        request = (
+            b"POST /v1/match HTTP/1.1\r\nTransfer-Encoding: chunked\r\n\r\n"
+            + b"%x\r\n" % len(chunk) + chunk + b"\r\n0\r\n\r\n"
+        )
+        status, body = _raw_exchange(gateway, request)
+        assert status == 400
+        assert b"Transfer-Encoding" in body
+        assert b"HTTP/1.1 200" not in body
 
 
 class TestBackpressureAndDrain:
-    def test_saturated_queue_answers_503_with_retry_after(self, trained_lhmm, tiny_dataset):
-        """queue_limit=1 + a gated batch_fn: the third request must shed
-        with the same overload answer the cluster gateway gives — 503 +
-        Retry-After and the stable ``server_overloaded`` code."""
-        gate = threading.Event()
-        entered = threading.Event()
-
-        def gated_batch(trajectories):
-            entered.set()
-            gate.wait(30)
-            return trained_lhmm.match_many(trajectories)
-
-        config = ServeConfig(
-            port=0, batch_window_ms=0.0, batch_max=1, queue_limit=1, retry_after_s=2.0
+    def test_saturated_queue_answers_503_with_retry_after(
+        self, boot_gateway, trained_lhmm, tiny_dataset, tmp_path
+    ):
+        """One running op + a one-deep admission queue: the third
+        request must shed with 503 + Retry-After and the stable
+        ``server_overloaded`` code, and the admitted two still answer."""
+        token = tmp_path / "hang-once"
+        server = boot_gateway(
+            fault_spec=f"cluster.op:hang:op=match:seconds=3:once={token}",
+            max_inflight=1,
+            queue_limit=1,
+            retry_after_s=2.0,
         )
-        server = MatchingServer(trained_lhmm, config, batch_fn=gated_batch)
-        server.start()
-        try:
-            client = MatchingClient(server.host, server.port, timeout=60.0)
-            sample = tiny_dataset.test[0]
-            pool = ThreadPoolExecutor(max_workers=2)
+        client = MatchingClient(server.host, server.port, timeout=60.0)
+        sample = tiny_dataset.test[0]
+        with ThreadPoolExecutor(max_workers=2) as pool:
             admitted = [pool.submit(client.match, [sample.cellular])]
-            assert entered.wait(10)  # first request now occupies the dispatcher
+            deadline = time.monotonic() + 10
+            while not token.exists():  # the first request hangs in the worker
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
             admitted.append(pool.submit(client.match, [sample.cellular]))
-            deadline = time.time() + 10
-            while server.batcher.queue_depth < 1:  # second request now queued
-                assert time.time() < deadline
+            while client.health()["queue_depth"] < 1:  # second one now queued
+                assert time.monotonic() < deadline
                 time.sleep(0.01)
 
             with pytest.raises(ServerBusy) as excinfo:
@@ -193,35 +259,21 @@ class TestBackpressureAndDrain:
             assert excinfo.value.status == 503
             assert excinfo.value.retry_after_s == 2.0
             assert excinfo.value.payload["code"] == "server_overloaded"
-            assert excinfo.value.payload["error"].startswith("request queue full")
+            assert excinfo.value.payload["error"].startswith("admission queue full")
 
-            # The admitted requests complete once the gate opens (drain).
-            gate.set()
             expected = trained_lhmm.match(sample.cellular).path
             for future in admitted:
                 assert future.result(timeout=60)[0]["path"] == expected
-            pool.shutdown()
-            metrics = client.metrics()
-            assert metrics["batching"]["rejected_total"] >= 1
-        finally:
-            gate.set()
-            server.shutdown()
+        assert client.metrics()["admission"]["shed_overflow_total"] >= 1
 
     def test_shutdown_drains_in_flight_and_commits_sessions(
-        self, trained_lhmm, tiny_dataset
+        self, boot_gateway, trained_lhmm, tiny_dataset, tmp_path
     ):
         """In-flight batch work is answered and open sessions are committed."""
-        release = threading.Event()
-        entered = threading.Event()
-
-        def slow_batch(trajectories):
-            entered.set()
-            release.wait(30)
-            return trained_lhmm.match_many(trajectories)
-
-        config = ServeConfig(port=0, batch_window_ms=0.0, queue_limit=8)
-        server = MatchingServer(trained_lhmm, config, batch_fn=slow_batch)
-        server.start()
+        token = tmp_path / "hang-once"
+        server = boot_gateway(
+            fault_spec=f"cluster.op:hang:op=match:seconds=1:once={token}"
+        )
         client = MatchingClient(server.host, server.port, timeout=60.0)
         sample = tiny_dataset.test[0]
 
@@ -229,47 +281,37 @@ class TestBackpressureAndDrain:
         session = client.create_session(lag=3)
         session.feed(sample.cellular.points[:4])
 
-        # An in-flight batch request, blocked inside batch_fn.
-        pool = ThreadPoolExecutor(max_workers=1)
-        in_flight = pool.submit(client.match, [sample.cellular])
-        assert entered.wait(10)  # the request is now inside batch_fn
-
-        shutdown_result = {}
-
-        def do_shutdown():
-            shutdown_result.update(server.shutdown())
-
-        closer = threading.Thread(target=do_shutdown)
-        closer.start()
-        time.sleep(0.1)
-        release.set()  # let the in-flight batch finish
-        closer.join(timeout=30)
-        assert not closer.is_alive()
-
-        # The admitted request was answered correctly during the drain.
-        assert in_flight.result(timeout=30)[0]["path"] == trained_lhmm.match(
-            sample.cellular
-        ).path
-        pool.shutdown()
+        with ThreadPoolExecutor(max_workers=1) as pool:
+            in_flight = pool.submit(client.match, [sample.cellular])
+            deadline = time.monotonic() + 10
+            while not token.exists():  # the request is now inside the worker
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            summary = server.shutdown()
+            # The admitted request was answered correctly during the drain.
+            assert in_flight.result(timeout=30)[0]["path"] == trained_lhmm.match(
+                sample.cellular
+            ).path
 
         # The open session was committed: its fixed-lag path was flushed.
-        committed = shutdown_result["sessions"]
         expected = OnlineLHMM(trained_lhmm, lag=3)
         for point in sample.cellular.points[:4]:
             expected.add_point(point)
-        assert committed == {session.session_id: expected.finish()}
+        assert summary["sessions"] == {session.session_id: expected.finish()}
 
         # And the listener is really down.
         with pytest.raises(OSError):
             client.health()
 
-    def test_requests_after_drain_start_are_rejected(self, trained_lhmm):
-        config = ServeConfig(port=0)
-        server = MatchingServer(trained_lhmm, config)
-        server.start()
+    def test_requests_after_drain_start_are_rejected(self, boot_gateway):
+        server = boot_gateway()
         client = MatchingClient(server.host, server.port)
         server._draining = True  # simulate mid-drain state with listener up
         with pytest.raises(ServeClientError) as excinfo:
             client.create_session()
         assert excinfo.value.status == 503
-        server.shutdown()
+        with pytest.raises(ServeClientError) as excinfo:
+            client.match([[{"x": 0.0, "y": 0.0, "t": 0.0}]])
+        assert excinfo.value.status == 503
+        assert client.health()["status"] == "draining"
+        server._draining = False
