@@ -200,11 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--respawn-limit", type=int, default=3,
                        help="worker respawns allowed across the fleet before "
                             "a dead worker's slot leaves the hash ring")
-    serve.add_argument("--transport", choices=["socketpair", "tcp"],
-                       default="socketpair",
-                       help="gateway<->worker transport: inherited "
-                            "socketpairs (default) or length-prefixed frames "
-                            "over TCP with generation-fenced handshakes")
     serve.add_argument("--node", default=None, metavar="NAME",
                        help="federation node name; giving it turns this "
                             "gateway into a federation member that routes, "
@@ -466,15 +461,15 @@ def _cmd_golden(args: argparse.Namespace) -> int:
 def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile end-to-end matching: per-stage wall-clock + cProfile.
 
-    The per-stage table wraps the pipeline's own entry points, so the
-    times are *cumulative per stage* and nest: ``trellis.run`` contains
-    the transition scoring, which contains routing.  The cProfile listing
-    underneath is the flat-hotspot view of the same loop.  All matching
+    The per-stage table reads the pipeline's own entry points out of the
+    cProfile run, so the times are *cumulative per stage* and nest:
+    ``trellis.run`` contains the transition scoring, which contains
+    routing.  The hotspot listing underneath is the flat view of the
+    same run.  All matching
     caches are cleared first so the run reflects cold-cache behaviour —
     the same convention as the perf smoke benchmarks.
     """
     import cProfile
-    import functools
     import io
     import json
     import pstats
@@ -515,37 +510,17 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     )
     trajectories = [s.cellular for s in dataset.samples][: args.trajectories]
 
-    stage_s: dict[str, float] = {}
-    wrapped: list[tuple[type, str, object]] = []
-
-    def instrument(cls: type, attr: str, label: str) -> None:
-        original = cls.__dict__.get(attr)
-        if original is None:
-            return
-
-        @functools.wraps(original)
-        def timed(*call_args, **call_kwargs):
-            start = time.perf_counter()
-            try:
-                return original(*call_args, **call_kwargs)
-            finally:
-                stage_s[label] = (
-                    stage_s.get(label, 0.0) + time.perf_counter() - start
-                )
-
-        setattr(cls, attr, timed)
-        wrapped.append((cls, attr, original))
-
-    instrument(LHMM, "prepare_candidates", "prepare_candidates")
-    instrument(LHMM, "_relevance_scope", "relevance_scope")
-    instrument(LHMM, "_segment_relevance", "segment_relevance")
-    instrument(_LHMMScorer, "transition_batch", "transitions")
-    # Instrument only the backend this pipeline actually runs: the
-    # vectorized trellis chains into the base class, so wrapping both
-    # would double-count the forward pass.
+    # The vectorized trellis chains into the base class, so only the
+    # backend this pipeline runs is read: both would double-count.
     trellis_cls = VectorizedTrellis if args.pipeline == "batched" else Trellis
-    instrument(trellis_cls, "run", "trellis.run")
-    instrument(trellis_cls, "_apply_shortcuts", "shortcuts")
+    stages = [
+        (LHMM, "prepare_candidates", "prepare_candidates"),
+        (LHMM, "_relevance_scope", "relevance_scope"),
+        (LHMM, "_segment_relevance", "segment_relevance"),
+        (_LHMMScorer, "transition_batch", "transitions"),
+        (trellis_cls, "run", "trellis.run"),
+        (trellis_cls, "_apply_shortcuts", "shortcuts"),
+    ]
 
     matcher.engine.clear_cache()
     network = matcher.network
@@ -555,16 +530,25 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     matcher._pool_cache_obj = None
 
     profiler = cProfile.Profile()
-    try:
-        start = time.perf_counter()
-        profiler.enable()
-        for trajectory in trajectories:
-            matcher.match(trajectory)
-        profiler.disable()
-        total_s = time.perf_counter() - start
-    finally:
-        for cls, attr, original in wrapped:
-            setattr(cls, attr, original)
+    start = time.perf_counter()
+    profiler.enable()
+    for trajectory in trajectories:
+        matcher.match(trajectory)
+    profiler.disable()
+    total_s = time.perf_counter() - start
+
+    # pstats keys each function by (file, first line, name); entry 3 of
+    # its row is the cumulative time, which counts recursion once.
+    stream = io.StringIO()
+    stats = pstats.Stats(profiler, stream=stream)
+    stage_s: dict[str, float] = {}
+    for cls, attr, label in stages:
+        code = getattr(cls.__dict__.get(attr), "__code__", None)
+        if code is None:
+            continue
+        row = stats.stats.get((code.co_filename, code.co_firstlineno, code.co_name))
+        if row is not None:
+            stage_s[label] = row[3]
 
     print(
         f"\nmatched {len(trajectories)} trajectories with the "
@@ -574,10 +558,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     for label, seconds in sorted(stage_s.items(), key=lambda kv: -kv[1]):
         print(f"  {label.ljust(20)} {seconds:7.3f} s  ({seconds / total_s:5.1%})")
 
-    stream = io.StringIO()
-    pstats.Stats(profiler, stream=stream).sort_stats("tottime").print_stats(
-        args.top
-    )
+    stats.sort_stats("tottime").print_stats(args.top)
     print("\ncProfile hotspots (tottime):")
     print(stream.getvalue())
 
@@ -710,7 +691,6 @@ def _cluster_config(args: argparse.Namespace):
         min_workers=args.min_workers,
         max_workers=args.max_workers,
         journal_path=args.journal,
-        worker_transport=args.transport,
         federation=_parse_federation(args),
     )
 
@@ -736,7 +716,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     if server.min_workers != server.max_workers:
         workers_note += f" (autoscaling {server.min_workers}..{server.max_workers})"
     print(f"cluster gateway at {server.address} ({workers_note}, "
-          f"router={args.router}, transport={args.transport})")
+          f"router={args.router})")
     federation = config.federation
     if federation is not None and server._fed is not None:
         fed = server._fed

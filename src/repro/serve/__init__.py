@@ -45,10 +45,8 @@ over :mod:`repro.serve.transport`): each node owns a subset of regions,
 advertises them over fenced TCP handshakes, proxies or 307-redirects
 misrouted requests to the owner, and ships every streaming session's
 point journal to one peer so a SIGKILLed gateway's sessions fail over
-with a bit-identical committed path.  Workers can likewise dial the
-gateway over TCP (``--transport tcp``) instead of inheriting a
-socketpair, with generation-fenced check-ins so a stale worker never
-serves after a respawn.
+with a bit-identical committed path.  A gateway reaches its own workers
+only over the ``socketpair`` each inherits at fork.
 """
 
 from repro.serve.ab import (

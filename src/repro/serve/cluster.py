@@ -61,7 +61,8 @@ optional ``region`` field that selects a shard; responses are
 byte-identical to direct ``LHMM.match`` / ``OnlineLHMM`` calls — the
 parity oracle runs against the gateway unchanged.  The hand-written
 HTTP/1.1 reader bounds what it accepts from untrusted clients — request
-line (414), header lines and header count (431), body size (413) — and
+line (414), header lines and header count (431), body size (413), and
+the time to deliver one request (the connection is closed) — and
 refuses a ``Transfer-Encoding`` body or a non-numeric
 ``Content-Length`` (400) instead of misparsing a pipelined stream.
 """
@@ -245,20 +246,6 @@ class ClusterConfig:
     #: Control-journal JSONL path (falls back to ``$REPRO_CLUSTER_JOURNAL``;
     #: ``None`` keeps the journal in memory only).
     journal_path: str | None = None
-    # ---- worker transport ----------------------------------------------
-    #: ``"socketpair"`` (inherited fd, the default) or ``"tcp"`` — workers
-    #: dial back to a gateway frame listener with a generation-fenced
-    #: handshake (:mod:`repro.serve.transport`), so a stale worker from a
-    #: superseded fork can never serve after its replacement checked in.
-    worker_transport: str = "socketpair"
-    worker_listen_host: str = "127.0.0.1"
-    #: How long the gateway waits for a freshly forked TCP worker to dial
-    #: back and complete its handshake before declaring the fork dead.
-    worker_connect_timeout_s: float = 15.0
-    #: TCP-worker idle read timeout: a worker that hears nothing (not
-    #: even a probe ping) for this long assumes a half-open gateway link
-    #: and exits, instead of pinning resources forever.
-    worker_idle_timeout_s: float = 120.0
     # ---- federation -----------------------------------------------------
     #: A :class:`repro.serve.federation.FederationConfig` joining this
     #: gateway to peer gateways on other hosts; ``None`` = standalone.
@@ -604,50 +591,17 @@ class _WorkerRuntime:
         return {"closed_sessions": len(finished)}
 
 
-def _drop_inherited(inherited_socks: tuple) -> None:
-    """Close fork-inherited gateway-side sockets (see ``_worker_main``).
-
-    TCP-transport siblings are ``asyncio.trsock.TransportSocket`` views
-    (no ``close()`` since 3.11) — close those by file descriptor.
-    """
-    for stale in inherited_socks:
-        try:
-            stale.close()
-        except OSError:  # pragma: no cover - already closed
-            pass
-        except AttributeError:
-            try:
-                os.close(stale.fileno())
-            except (OSError, ValueError):  # pragma: no cover - already closed
-                pass
-
-
-def _worker_signals() -> None:
-    """Detach from the gateway's signal fate (see ``_worker_main``)."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    try:
-        signal.signal(signal.SIGHUP, signal.SIG_IGN)
-    except (AttributeError, ValueError):  # pragma: no cover - non-POSIX
-        pass
-
-
 def _worker_loop(sock: socket.socket, registry: ShardRegistry, options: dict) -> int:
     """The worker's request loop over an established socket; exit code."""
-    idle_timeout = options.get("idle_timeout_s")
     try:
         runtime = _WorkerRuntime(registry, options)
         while True:
-            message = ipc.recv_message(sock, timeout=idle_timeout)
+            message = ipc.recv_message(sock)
             if message is None:
                 break
             ipc.send_message(sock, runtime.handle(message))
             if message.get("op") == "shutdown":
                 break
-    except TimeoutError:
-        # Half-open gateway link (TCP only): nothing — not even a probe
-        # ping — arrived within the idle window.  Exit; respawn machinery
-        # on a live gateway replaces us, a dead gateway needs no workers.
-        return 1
     except (ipc.IpcError, OSError, BrokenPipeError):  # gateway went away
         return 1
     except Exception:  # pragma: no cover - startup failure (bad artifact)
@@ -672,57 +626,22 @@ def _worker_main(
     # reads EOF after the gateway is SIGKILLed (each keeps the others'
     # write ends alive), leaving an orphan fleet pinning the janitor
     # pipe and therefore the shared segments.
-    _drop_inherited(inherited_socks)
+    for stale in inherited_socks:
+        try:
+            stale.close()
+        except OSError:  # pragma: no cover - already closed
+            pass
     # The gateway's signals are not ours: a Ctrl+C against the CLI lands
     # on the whole process group, but workers must only exit on a
     # shutdown op (or gateway death = socket EOF) so drains stay orderly.
-    _worker_signals()
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    try:
+        signal.signal(signal.SIGHUP, signal.SIG_IGN)
+    except (AttributeError, ValueError):  # pragma: no cover - non-POSIX
+        pass
     exit_code = _worker_loop(sock, registry, options)
     # Skip interpreter teardown: a fork child sharing the gateway's
     # state must not run its atexit hooks (resource tracker, etc.).
-    os._exit(exit_code)
-
-
-def _worker_main_tcp(
-    address: tuple[str, int],
-    hello: dict,
-    registry: ShardRegistry,
-    options: dict,
-    inherited_socks: tuple = (),
-    guard_fds: tuple = (),
-) -> None:
-    """Entry point of a TCP-transport worker: dial back, handshake, serve.
-
-    Unlike the socketpair path the worker holds *no* inherited IPC fd:
-    it connects to the gateway's worker frame listener and identifies
-    itself with a generation-fenced hello ``{node, generation, token}``.
-    A stale fork (its name already respawned under a newer generation)
-    is rejected at handshake time and exits with code 3 — it can never
-    serve a single op.  The worker also closes the fork-inherited
-    janitor guard fd(s): with remote transport, segment cleanup keys on
-    the gateway process alone (see :class:`repro.serve.shm.SegmentJanitor`).
-    """
-    from repro.serve import transport
-
-    _drop_inherited(inherited_socks)
-    for fd in guard_fds:
-        try:
-            os.close(fd)
-        except OSError:  # pragma: no cover - already closed
-            pass
-    _worker_signals()
-    try:
-        sock, _ack = transport.dial_blocking(
-            address[0],
-            address[1],
-            hello,
-            deadline_s=float(options.get("connect_timeout_s", 15.0)),
-        )
-    except transport.HandshakeRejected:
-        os._exit(3)  # fenced: a newer generation of this name checked in
-    except Exception:  # noqa: BLE001 - gateway gone before we dialed
-        os._exit(1)
-    exit_code = _worker_loop(sock, registry, options)
     os._exit(exit_code)
 
 
@@ -737,18 +656,13 @@ class _WorkerHandle:
         name: str,
         generation: int,
         process,
-        sock: socket.socket | None,
-        token: str = "",
+        sock: socket.socket,
     ) -> None:
         self.name = name
         self.generation = generation
         self.process = process
-        #: Gateway-side socketpair end; ``None`` for TCP-transport
-        #: workers, which dial back instead of inheriting an fd.
+        #: Gateway-side socketpair end.
         self.sock = sock
-        #: Handshake fencing token (TCP transport): the dial-back hello
-        #: must present the exact (generation, token) this fork was given.
-        self.token = token
         self.alive = True
         self.requests_total = 0
         self.inflight = 0
@@ -767,19 +681,6 @@ class _WorkerHandle:
     async def connect(self, on_down) -> None:
         """Wrap the socketpair end in asyncio streams; start the reader."""
         reader, writer = await asyncio.open_connection(sock=self.sock)
-        self._writer = writer
-        self._write_lock = asyncio.Lock()
-        self._reader_task = asyncio.create_task(self._read_loop(reader, on_down))
-
-    def adopt_streams(self, reader, writer, on_down) -> None:
-        """Take over an accepted dial-back connection (TCP transport).
-
-        The frame listener already read and answered the worker's hello;
-        from here the streams behave exactly like a connected socketpair.
-        ``self.sock`` is set to the underlying socket so sibling-fd
-        bookkeeping (``_fork_worker``'s inherited list) keeps working.
-        """
-        self.sock = writer.get_extra_info("socket")
         self._writer = writer
         self._write_lock = asyncio.Lock()
         self._reader_task = asyncio.create_task(self._read_loop(reader, on_down))
@@ -951,22 +852,6 @@ class ClusterServer:
         self._rollout_lock = asyncio.Lock()
         #: Live A/B tests, keyed by region (see :class:`_ABRecord`).
         self._ab: dict[str, _ABRecord] = {}
-        # ---- worker transport ------------------------------------------
-        if self.config.worker_transport not in ("socketpair", "tcp"):
-            raise ValueError(
-                "worker_transport must be 'socketpair' or 'tcp', got "
-                f"{self.config.worker_transport!r}"
-            )
-        #: Pre-bound listening socket for TCP worker dial-back (bound in
-        #: :meth:`start`, *before* the first fork — the ephemeral port
-        #: must be known when the worker's hello address is built).
-        self._worker_listen_sock: socket.socket | None = None
-        self._worker_listener = None  # transport.FrameListener
-        #: name -> (generation, token) the next dial-back hello must
-        #: present; anything else is a stale fork and is fenced out.
-        self._worker_expect: dict[str, tuple[int, str]] = {}
-        #: name -> future resolved with (reader, writer) at check-in.
-        self._worker_checkin: dict[str, asyncio.Future] = {}
         # ---- federation -------------------------------------------------
         if self.config.federation is not None:
             from repro.serve.federation import FederationRuntime
@@ -1026,67 +911,29 @@ class ClusterServer:
             "session_ttl_s": self.config.session_ttl_s,
         }
         # The forked child inherits every gateway-side IPC fd open right
-        # now — each sibling's socketpair end or accepted dial-back
-        # connection (and, on the socketpair path, its own parent end).
-        # It must close them all or gateway death never EOFs any worker's
+        # now — each sibling's socketpair end and its own parent end.  It
+        # must close them all or gateway death never EOFs any worker's
         # socket (the fleet would keep itself alive, see ``_worker_main``).
         siblings = tuple(
             h.sock
             for h in (*self._handles.values(), *(r.handle for r in self._ab.values()))
-            if h.sock is not None
         )
-        if self.config.worker_transport == "tcp":
-            # Dial-back transport: the child gets no IPC fd at all — it
-            # connects to the worker listener and presents a one-time
-            # fenced hello.  It also drops the janitor guard fd(s): with
-            # remote transport, segment cleanup keys on the gateway alone.
-            token = os.urandom(8).hex()
-            self._worker_expect[name] = (generation, token)
-            stale = self._worker_checkin.pop(name, None)
-            if stale is not None and not stale.done():
-                stale.cancel()
-            options["connect_timeout_s"] = self.config.worker_connect_timeout_s
-            options["idle_timeout_s"] = self.config.worker_idle_timeout_s
-            assert self._worker_listen_sock is not None
-            address = self._worker_listen_sock.getsockname()[:2]
-            hello = {
-                "node": name,
-                "generation": generation,
-                "token": token,
-                "role": "worker",
-            }
-            process = self._mp_context.Process(
-                target=_worker_main_tcp,
-                args=(
-                    address,
-                    hello,
-                    registry if registry is not None else self.registry,
-                    options,
-                    (self._worker_listen_sock, *siblings),
-                    self.registry.guard_fds(),
-                ),
-                name=f"repro-cluster-{name}",
-                daemon=True,
-            )
-            process.start()
-            handle = _WorkerHandle(name, generation, process, None, token=token)
-        else:
-            parent_sock, child_sock = socket.socketpair()
-            process = self._mp_context.Process(
-                target=_worker_main,
-                args=(
-                    child_sock,
-                    registry if registry is not None else self.registry,
-                    options,
-                    (parent_sock, *siblings),
-                ),
-                name=f"repro-cluster-{name}",
-                daemon=True,
-            )
-            process.start()
-            child_sock.close()
-            parent_sock.setblocking(False)
-            handle = _WorkerHandle(name, generation, process, parent_sock)
+        parent_sock, child_sock = socket.socketpair()
+        process = self._mp_context.Process(
+            target=_worker_main,
+            args=(
+                child_sock,
+                registry if registry is not None else self.registry,
+                options,
+                (parent_sock, *siblings),
+            ),
+            name=f"repro-cluster-{name}",
+            daemon=True,
+        )
+        process.start()
+        child_sock.close()
+        parent_sock.setblocking(False)
+        handle = _WorkerHandle(name, generation, process, parent_sock)
         if register:
             self._handles[name] = handle
             self._ring.add(name)
@@ -1111,17 +958,6 @@ class ClusterServer:
             raise RuntimeError("cluster already started")
         self._started = True
         atexit.register(self._cleanup_at_exit)
-        if self.config.worker_transport == "tcp":
-            # Bind the dial-back listener *before* the first fork: the
-            # workers' hello address (with its resolved ephemeral port)
-            # must exist when their Process args are built.  The asyncio
-            # FrameListener adopts this already-bound socket later.
-            listen = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            listen.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            listen.bind((self.config.worker_listen_host, 0))
-            listen.listen(128)
-            listen.setblocking(False)
-            self._worker_listen_sock = listen
         for i in range(self.config.num_workers):
             self._fork_worker(f"w{i}", generation=1)
         ready = threading.Event()
@@ -1155,18 +991,8 @@ class ClusterServer:
             loop.close()
 
     async def _async_start(self) -> None:
-        if self._worker_listen_sock is not None:
-            from repro.serve.transport import FrameListener, TransportConfig
-
-            self._worker_listener = FrameListener(
-                self._on_worker_hello,
-                config=TransportConfig(
-                    handshake_timeout_s=self.config.worker_connect_timeout_s
-                ),
-            )
-            await self._worker_listener.start(sock=self._worker_listen_sock)
         for handle in self._handles.values():
-            await self._connect_worker(handle, self._on_worker_down)
+            await handle.connect(self._on_worker_down)
         self._server = await asyncio.start_server(
             self._serve_connection,
             self.config.host,
@@ -1184,82 +1010,6 @@ class ClusterServer:
             max_workers=self._max_workers,
         )
 
-    async def _on_worker_hello(self, payload: dict, reader, writer):
-        """Frame-listener callback: a TCP worker dialed back with a hello.
-
-        The handshake is the fencing point: only the exact
-        ``(generation, token)`` pair minted by the *latest* fork of a
-        name is admitted.  A stale fork — e.g. one that was wedged while
-        its replacement was forked and checked in — is rejected here and
-        exits before it can serve a single op.
-        """
-        name = payload.get("node")
-        expected = self._worker_expect.get(name) if isinstance(name, str) else None
-        presented = (payload.get("generation"), payload.get("token"))
-        if expected is None or presented != expected:
-            self.metrics.increment("workers_fenced_total")
-            self._journal.record(
-                "worker_fenced",
-                worker=name,
-                generation=payload.get("generation"),
-            )
-            return (
-                "reject",
-                {
-                    "ok": False,
-                    "error": {
-                        "code": "stale_worker",
-                        "message": f"worker {name!r} handshake is stale "
-                        "(a newer generation was forked)",
-                    },
-                },
-            )
-        future = self._worker_checkin.get(name)
-        if future is None or future.done():
-            future = asyncio.get_running_loop().create_future()
-            self._worker_checkin[name] = future
-        future.set_result((reader, writer))
-        # "detach": the listener hands the streams over; the worker
-        # handle adopts them in _connect_worker.
-        return ("detach", {"ok": True, "node": name})
-
-    async def _connect_worker(self, handle: _WorkerHandle, on_down) -> None:
-        """Attach a freshly forked worker's IPC streams to its handle.
-
-        Socketpair transport wraps the inherited fd; TCP transport waits
-        (bounded) for the worker's fenced dial-back and adopts the
-        accepted streams.  Raises :class:`WorkerCrash` when a TCP worker
-        never checks in — callers treat that like any other fork death.
-        """
-        if handle.sock is not None:
-            await handle.connect(on_down)
-            return
-        future = self._worker_checkin.get(handle.name)
-        if future is None or (future.done() and future.cancelled()):
-            future = asyncio.get_running_loop().create_future()
-            self._worker_checkin[handle.name] = future
-        try:
-            reader, writer = await asyncio.wait_for(
-                asyncio.shield(future), timeout=self.config.worker_connect_timeout_s
-            )
-        except asyncio.TimeoutError as error:
-            handle.alive = False
-            raise WorkerCrash(
-                f"worker {handle.name} never dialed back within "
-                f"{self.config.worker_connect_timeout_s}s"
-            ) from error
-        except asyncio.CancelledError:
-            if future.cancelled():  # superseded by a newer fork of the name
-                handle.alive = False
-                raise WorkerCrash(
-                    f"worker {handle.name} check-in superseded by a newer fork"
-                ) from None
-            raise
-        finally:
-            if self._worker_checkin.get(handle.name) is future:
-                self._worker_checkin.pop(handle.name, None)
-        handle.adopt_streams(reader, writer, on_down)
-
     def serve_forever(self) -> None:
         """Block the calling thread until :meth:`shutdown` (CLI mode)."""
         if self._thread is None:
@@ -1274,12 +1024,6 @@ class ClusterServer:
         finalised during the drain.
         """
         if self._loop is None or self._thread is None or not self._thread.is_alive():
-            if self._worker_listen_sock is not None:
-                try:
-                    self._worker_listen_sock.close()
-                except OSError:  # pragma: no cover
-                    pass
-                self._worker_listen_sock = None
             self.registry.close(unlink=True)
             self._journal.close()
             atexit.unregister(self._cleanup_at_exit)
@@ -1347,10 +1091,6 @@ class ClusterServer:
         # Let the cancelled reader loops finish before the loop stops.
         readers = [h._reader_task for h in handles if h._reader_task is not None]
         await asyncio.gather(*readers, return_exceptions=True)
-        if self._worker_listener is not None:
-            await self._worker_listener.stop()
-            self._worker_listener = None
-            self._worker_listen_sock = None
         return {"sessions": finished, "drained": drain}
 
     def __enter__(self) -> "ClusterServer":
@@ -1422,10 +1162,7 @@ class ClusterServer:
         replacement = self._fork_worker(
             handle.name, handle.generation + 1, register=False
         )
-        try:
-            await self._connect_worker(replacement, self._on_worker_down)
-        except WorkerCrash:
-            replacement.alive = False  # restart the cycle below
+        await replacement.connect(self._on_worker_down)
         self._handles[handle.name] = replacement
         self._ring.add(handle.name)  # no-op unless something removed it
         self.metrics.increment("worker_respawns_total")
@@ -1435,8 +1172,6 @@ class ClusterServer:
             generation=replacement.generation,
             backoff_s=round(backoff, 3),
         )
-        if not replacement.alive:  # died during connect: restart the cycle
-            asyncio.create_task(self._on_worker_down(replacement))
 
     def _alive_handles(self) -> list[_WorkerHandle]:
         return [h for h in self._handles.values() if h.alive]
@@ -1544,7 +1279,7 @@ class ClusterServer:
         )
         handle = self._fork_worker(name, generation=1, register=False)
         try:
-            await self._connect_worker(handle, self._on_worker_down)
+            await handle.connect(self._on_worker_down)
             await handle.call({"op": "ping"}, timeout=10.0)
         except (WorkerCrash, _WorkerOpError) as error:
             self._journal.record("scale_up_failed", worker=name, error=str(error))
@@ -1651,7 +1386,7 @@ class ClusterServer:
                 register=False,
             )
             try:
-                await self._connect_worker(probe, self._ignore_down)
+                await probe.connect(self._ignore_down)
                 result = await probe.call(
                     {
                         "op": "canary",
@@ -1712,7 +1447,7 @@ class ClusterServer:
                 replacement = self._fork_worker(
                     name, old.generation + 1, register=False
                 )
-                await self._connect_worker(replacement, self._on_worker_down)
+                await replacement.connect(self._on_worker_down)
                 await replacement.call({"op": "ping"}, timeout=10.0)
             except (WorkerCrash, _WorkerOpError) as error:
                 # The old worker keeps serving the old generation (its
@@ -1904,7 +1639,7 @@ class ClusterServer:
                 register=False,
             )
             try:
-                await self._connect_worker(handle, self._on_ab_worker_down)
+                await handle.connect(self._on_ab_worker_down)
                 await handle.call({"op": "ping"}, timeout=10.0)
             except (WorkerCrash, _WorkerOpError) as error:
                 handle.close()
@@ -2572,7 +2307,6 @@ class ClusterServer:
         return 200, {
             "status": status,
             "mode": "cluster",
-            "worker_transport": self.config.worker_transport,
             **extra,
             "protocol_version": protocol.PROTOCOL_VERSION,
             "regions": self.registry.regions,
@@ -2612,7 +2346,6 @@ class ClusterServer:
             "ab_aborts_total",
             "ab_challenger_deaths_total",
             "ab_failovers_total",
-            "workers_fenced_total",
             "feed_duplicates_total",
         ):
             snapshot["counters"].setdefault(name, 0)
@@ -2754,23 +2487,28 @@ class ClusterServer:
         try:
             while True:
                 try:
-                    head = await _read_request_head(reader)
-                    if head is None:
-                        break
-                    method, target, version, headers = head
-                    raw_length = headers.get("content-length", "0") or "0"
-                    if not (raw_length.isascii() and raw_length.isdigit()):
-                        raise _HttpError(400, "invalid Content-Length")
-                    length = int(raw_length)
-                    if length > self.config.max_body_bytes:
-                        raise _HttpError(413, "request body too large")
+                    async with asyncio.timeout(_READ_TIMEOUT_S):
+                        head = await _read_request_head(reader)
+                        if head is None:
+                            break
+                        method, target, version, headers = head
+                        raw_length = headers.get("content-length", "0") or "0"
+                        if not (raw_length.isascii() and raw_length.isdigit()):
+                            raise _HttpError(400, "invalid Content-Length")
+                        length = int(raw_length)
+                        if length > self.config.max_body_bytes:
+                            raise _HttpError(413, "request body too large")
+                        body = await reader.readexactly(length) if length else b""
                 except _HttpError as error:
                     writer.write(
                         _http_response(error.status, {"error": str(error)}, close=True)
                     )
                     await writer.drain()
                     break
-                body = await reader.readexactly(length) if length else b""
+                except TimeoutError:
+                    # A silent client (or an idle keep-alive one) gives its
+                    # task back; the client reconnects on its next request.
+                    break
                 close = (
                     headers.get("connection", "").lower() == "close"
                     or version.upper() == "HTTP/1.0"
@@ -2809,6 +2547,9 @@ class ClusterServer:
 #: header line, and the header count, before the reader answers 414/431.
 _MAX_LINE_BYTES = 64 * 1024
 _MAX_HEADERS = 100
+#: Seconds a connection may take to deliver one whole request (head and
+#: body, idle keep-alive wait included) before the gateway closes it.
+_READ_TIMEOUT_S = 30.0
 
 
 async def _read_line(reader: asyncio.StreamReader, status: int, what: str) -> bytes:

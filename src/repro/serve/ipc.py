@@ -19,12 +19,12 @@ worker loop and ``asyncio`` helpers for the gateway.  A frame larger than
 multi-gigabyte allocation.
 
 The same framing crosses the host boundary unchanged:
-:mod:`repro.serve.transport` layers connect/read timeouts, heartbeats,
+:mod:`repro.serve.transport` layers connect timeouts, heartbeats,
 reconnect backoff and generation-fenced handshakes on top of these exact
-frames for TCP worker transport and gateway federation.  A socketpair fd
-and a TCP socket are interchangeable here — only liveness semantics
-differ (process death EOFs both, but only TCP can go half-open, which is
-the transport layer's problem).
+frames for gateway federation.  A socketpair fd and a TCP socket are
+interchangeable here — only liveness semantics differ (process death
+EOFs both, but only TCP can go half-open, which is the transport
+layer's problem).
 """
 
 from __future__ import annotations
@@ -80,23 +80,9 @@ def send_message(sock: socket.socket, message: dict) -> None:
     sock.sendall(encode_message(message))
 
 
-def recv_message(sock: socket.socket, *, timeout: float | None = None) -> dict | None:
-    """Receive one message (blocking); ``None`` when the peer closed.
-
-    ``timeout`` (seconds) bounds the wait for the *first* header byte —
-    the idle gap between frames — and is restored afterwards; a TCP
-    worker uses it to notice a half-open gateway.  Expiry raises
-    ``TimeoutError`` (``socket.timeout``).
-    """
-    if timeout is not None:
-        previous = sock.gettimeout()
-        sock.settimeout(timeout)
-        try:
-            header = _recv_exactly(sock, _HEADER.size)
-        finally:
-            sock.settimeout(previous)
-    else:
-        header = _recv_exactly(sock, _HEADER.size)
+def recv_message(sock: socket.socket) -> dict | None:
+    """Receive one message (blocking); ``None`` when the peer closed."""
+    header = _recv_exactly(sock, _HEADER.size)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)

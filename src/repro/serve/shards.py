@@ -141,21 +141,6 @@ class ShardRegistry:
                 guard.add(shard.pack.segment_name)
         return registry
 
-    def guard_fds(self) -> tuple[int, ...]:
-        """Janitor pipe write fds a *remote-transport* worker must close.
-
-        Socketpair workers deliberately inherit (and keep) the janitor's
-        write end so the segments survive until the whole local fleet is
-        gone.  TCP workers must not: cleanup keys on the gateway alone,
-        so segments are reaped even when the gateway dies before any
-        worker forked.  The fork child closes every fd returned here
-        (see ``cluster._worker_main_tcp``); the gateway's own copies are
-        untouched.
-        """
-        if self._janitor is None or self._janitor.guard_fd is None:
-            return ()
-        return (self._janitor.guard_fd,)
-
     @classmethod
     def _load_shard(
         cls,

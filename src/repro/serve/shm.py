@@ -79,16 +79,9 @@ class SegmentJanitor:
     (graceful shutdown already unlinked everything — and unlink is
     idempotent anyway, so even a race here is harmless).
 
-    **Remote-transport deployments**: when workers talk to the gateway
-    over TCP (:mod:`repro.serve.transport`) instead of an inherited
-    socketpair, holding the pipe in every worker is wrong — a TCP worker
-    may be on another host entirely, and even a local one must not keep
-    segments alive past gateway death (the gateway could die before any
-    worker forked at all).  Such workers close their fork-inherited copy
-    of the write end immediately (see :meth:`guard_fd` and
-    ``ShardRegistry.guard_fds``), keying cleanup on the *gateway process
-    alone*: live attachments survive the unlink (POSIX shm semantics),
-    and the names vanish the moment the owner is gone.
+    Workers keep their fork-inherited write end on purpose: they exit on
+    EOF from the gateway's socketpair, so a SIGKILLed gateway takes the
+    fleet down with it and the janitor unlinks once the last one is gone.
     """
 
     def __init__(self) -> None:
@@ -139,32 +132,6 @@ class SegmentJanitor:
                 except OSError:
                     pass
         os._exit(0)
-
-    @property
-    def guard_fd(self) -> int | None:
-        """The pipe write fd whose closure arms the janitor's EOF trigger.
-
-        A fork child that must *not* pin the segments (remote-transport
-        workers) closes its inherited copy of this fd right after fork;
-        the parent's fd — and therefore the guard — is unaffected.
-        """
-        return self._write_fd
-
-    def release_inherited(self) -> None:
-        """Child-side: drop a fork-inherited copy of the write end.
-
-        Never call this in the publishing process — it would disarm the
-        guard entirely.  In a fork child it only closes *this process's*
-        duplicate, so the janitor still outlives exactly the processes
-        that are supposed to hold it.
-        """
-        if self._write_fd is None:
-            return
-        try:
-            os.close(self._write_fd)
-        except OSError:  # pragma: no cover - already closed
-            pass
-        self._write_fd = None
 
     def _send(self, line: str) -> None:
         if self._write_fd is None:

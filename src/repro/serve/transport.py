@@ -1,21 +1,14 @@
 """Cross-host TCP frame transport for the serving tier.
 
 :mod:`repro.serve.ipc` gives the cluster its length-prefixed JSON frames;
-this module generalises them across the host boundary.  Three pieces:
-
-* :func:`dial_blocking` — the *worker* side.  A forked (or remote) matcher
-  process dials the gateway's listener with bounded retry/backoff, sends a
-  generation-fenced ``hello`` and waits for the ack before serving a
-  single op.  A rejected handshake (:class:`HandshakeRejected`) means the
-  caller is **stale** — a respawned replacement already owns its name —
-  and it must exit, never serve.
+this module generalises them across the host boundary for gateway↔gateway
+federation.  Two pieces:
 
 * :class:`FrameListener` — the *accepting* side.  An asyncio TCP server
   whose first inbound frame must be a ``hello``; an application callback
   decides accept/reject (fencing lives there, see :class:`FenceRegistry`)
-  and whether the listener keeps dispatching frames on the connection or
-  hands the raw streams over to other machinery (the cluster's
-  ``_WorkerHandle`` does the latter).
+  and, once accepted, the listener dispatches every further frame on the
+  connection to a per-connection handler.
 
 * :class:`PeerLink` — a persistent, self-healing client connection for
   gateway↔gateway federation.  It reconnects forever with exponential
@@ -25,17 +18,17 @@ this module generalises them across the host boundary.  Three pieces:
   ``heartbeat_timeout_s`` and is torn down instead of hanging callers.
 
 Everything here is transport only: no routing, no replication.  Those
-live in :mod:`repro.serve.federation`.
+live in :mod:`repro.serve.federation`.  The gateway reaches its own
+forked workers over an inherited ``socketpair`` instead
+(:mod:`repro.serve.cluster`).
 """
 
 from __future__ import annotations
 
 import asyncio
-import socket
 import time
 from collections.abc import Awaitable, Callable
 from dataclasses import dataclass
-from typing import Any
 
 from repro.serve import ipc
 
@@ -51,8 +44,7 @@ class PeerDown(TransportError):
 class HandshakeRejected(TransportError):
     """The listener refused our ``hello`` — we are fenced out.
 
-    Carries the rejection payload so the caller can log the code; the only
-    correct reaction for a worker is to exit without serving.
+    Carries the rejection payload so the caller can log the code.
     """
 
     def __init__(self, response: dict) -> None:
@@ -64,7 +56,7 @@ class HandshakeRejected(TransportError):
 
 @dataclass(slots=True)
 class TransportConfig:
-    """Timeout/backoff knobs shared by dialers, links and listeners."""
+    """Timeout/backoff knobs shared by links and listeners."""
 
     connect_timeout_s: float = 5.0
     handshake_timeout_s: float = 5.0
@@ -109,60 +101,10 @@ def backoff_delays(base_s: float, max_s: float):
         delay = min(max_s, delay * 2.0)
 
 
-def dial_blocking(
-    host: str,
-    port: int,
-    hello: dict,
-    *,
-    deadline_s: float = 20.0,
-    config: TransportConfig | None = None,
-) -> tuple[socket.socket, dict]:
-    """Dial ``host:port``, perform the hello handshake, return (sock, ack).
-
-    Retries refused/failed connects with exponential backoff until
-    ``deadline_s`` elapses (the listener may not be up yet — the cluster
-    forks workers before its event loop starts).  Raises
-    :class:`HandshakeRejected` if the listener fences us out and
-    :class:`TransportError` on timeout; the returned socket has no
-    timeout set (callers install their own idle policy).
-    """
-    options = config or TransportConfig()
-    deadline = time.monotonic() + deadline_s
-    delays = backoff_delays(options.backoff_base_s, options.backoff_max_s)
-    sock: socket.socket | None = None
-    while sock is None:
-        try:
-            sock = socket.create_connection(
-                (host, port), timeout=options.connect_timeout_s
-            )
-        except OSError as error:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                raise TransportError(
-                    f"could not reach {host}:{port} within {deadline_s:.1f}s: {error}"
-                ) from error
-            time.sleep(min(next(delays), max(0.0, remaining)))
-    try:
-        sock.settimeout(options.handshake_timeout_s)
-        ipc.send_message(sock, {"op": "hello", **hello})
-        ack = ipc.recv_message(sock)
-        if ack is None:
-            raise TransportError("listener closed during handshake")
-        if not ack.get("ok", False):
-            raise HandshakeRejected(ack)
-        sock.settimeout(None)
-    except BaseException:
-        sock.close()
-        raise
-    return sock, ack
-
-
 # A hello callback returns one of:
 #   ("reject", response)          -- write response, close the connection
 #   ("serve", response, handler)  -- write response, then dispatch every
 #                                    subsequent frame through ``handler``
-#   ("detach", response)          -- write response, then hand the streams
-#                                    to the callback's owner untouched
 HelloDecision = tuple[str, dict] | tuple[str, dict, Callable[[dict], Awaitable[dict | None]]]
 
 
@@ -190,18 +132,9 @@ class FrameListener:
         self.host = ""
         self.port = 0
 
-    async def start(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        *,
-        sock: socket.socket | None = None,
-    ) -> None:
-        """Bind and start accepting (pass ``sock`` to adopt a pre-bound one)."""
-        if sock is not None:
-            self._server = await asyncio.start_server(self._serve, sock=sock)
-        else:
-            self._server = await asyncio.start_server(self._serve, host, port)
+    async def start(self, host: str = "127.0.0.1", port: int = 0) -> None:
+        """Bind and start accepting."""
+        self._server = await asyncio.start_server(self._serve, host, port)
         bound = self._server.sockets[0].getsockname()
         self.host, self.port = bound[0], bound[1]
 
@@ -243,9 +176,6 @@ class FrameListener:
             return
         if mode == "reject":
             writer.close()
-            return
-        if mode == "detach":
-            # Ownership of (reader, writer) transferred inside on_hello.
             return
         handler = decision[2]  # type: ignore[misc]
         self._conns.add(writer)

@@ -21,8 +21,44 @@ from repro.core import LHMM, LHMMConfig
 from repro.datasets import DatasetConfig, make_city_dataset, save_dataset
 from repro.network import CityConfig, ShortestPathEngine, generate_city_network
 from repro.serve import ClusterConfig, ClusterServer, ShardRegistry, ShardSpec
-from repro.serve.shm import leaked_segments
+from repro.serve.shm import SharedArrayPack, leaked_segments
 from repro.testing import faults
+
+
+#: Every shared-memory segment this test process has published, in order.
+#: ``leaked_segments()`` lists the whole host's segments — a second test
+#: run's too — so leak assertions look only at these (:class:`OwnSegments`).
+_PUBLISHED_SEGMENTS: list[str] = []
+
+
+@pytest.fixture(scope="session", autouse=True)
+def _record_published_segments():
+    """Record the name of each segment ``SharedArrayPack.publish`` creates."""
+    publish = SharedArrayPack.publish.__func__
+
+    def recording_publish(cls, arrays, name=None):
+        pack = publish(cls, arrays, name)
+        _PUBLISHED_SEGMENTS.append(pack.meta["segment"])
+        return pack
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SharedArrayPack, "publish", classmethod(recording_publish))
+        yield
+
+
+class OwnSegments:
+    """The segments this test process publishes from construction on.
+
+    :meth:`leaked` lists those still in ``/dev/shm``; segments of other
+    processes on the host never appear in it.
+    """
+
+    def __init__(self) -> None:
+        self._start = len(_PUBLISHED_SEGMENTS)
+
+    def leaked(self) -> list[str]:
+        ours = set(_PUBLISHED_SEGMENTS[self._start:])
+        return [name for name in leaked_segments() if name in ours]
 
 
 TINY_CITY = CityConfig(
@@ -159,11 +195,11 @@ def start_gateway(served_paths, fault_spec: str | None = None, **overrides):
 @pytest.fixture(scope="module")
 def gateway(served_paths):
     """A module-scoped gateway (see :func:`start_gateway`)."""
+    own = OwnSegments()
     server = start_gateway(served_paths)
-    segments = {shard["segment"] for shard in server.registry.describe().values()}
     yield server
     server.shutdown()
-    assert segments.isdisjoint(leaked_segments())
+    assert own.leaked() == []
 
 
 @pytest.fixture()

@@ -17,18 +17,19 @@ Excluded from the default suite; run with ``pytest -m chaos -k cluster``
 from __future__ import annotations
 
 import os
+import random
 import re
 import signal
 import subprocess
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from queue import Empty, Queue
 
 import pytest
 
-from benchmarks.bench_serve_throughput import make_trace, open_loop
 from repro.core import OnlineLHMM
 from repro.datasets import save_dataset
 from repro.errors import ModelReloadFailed
@@ -42,6 +43,7 @@ from repro.serve import (
 )
 from repro.serve.shm import leaked_segments
 from repro.testing import faults
+from tests.conftest import OwnSegments
 
 pytestmark = pytest.mark.chaos
 
@@ -61,6 +63,71 @@ def _publish(cluster_paths):
     return ShardRegistry.publish(
         [ShardSpec(region="default", dataset=dataset_path, model=model_path)]
     )
+
+
+def make_trace(samples, rate_per_s: float, count: int, seed: int):
+    """A replayable open-loop trace: (arrival_offset_s, sample) pairs."""
+    rng = random.Random(seed)
+    now = 0.0
+    trace = []
+    for _ in range(count):
+        now += rng.expovariate(rate_per_s)
+        trace.append((now, samples[rng.randrange(len(samples))]))
+    return trace
+
+
+def open_loop(
+    host: str,
+    port: int,
+    trace,
+    client_threads: int = 8,
+    max_attempts: int = 4,
+    deadline_s: float = 30.0,
+) -> tuple[list, float]:
+    """Fire the trace at its scheduled rate; never wait for completions.
+
+    Latency is measured from each request's *scheduled arrival* so time
+    spent queueing (client pool or server) counts against it.  Returns
+    ``(results, wall_s)`` where each result is
+    ``(latency_s, ok, sample, path_or_none)``.
+    """
+    results = []
+    lock = threading.Lock()
+    local = threading.local()
+
+    def fire(sample, scheduled_abs: float):
+        client = getattr(local, "client", None)
+        if client is None:
+            client = local.client = MatchingClient(
+                host, port, timeout=60.0, keep_alive=True
+            )
+        path = None
+        try:
+            response = client.match_with_retry(
+                [sample.cellular], max_attempts=max_attempts,
+                base_delay_s=0.05, deadline_s=deadline_s,
+            )
+            ok = "error" not in response[0]
+            if ok:
+                path = response[0]["path"]
+        except Exception:  # noqa: BLE001 - an error is a datapoint here
+            ok = False
+        latency = time.perf_counter() - scheduled_abs
+        with lock:
+            results.append((latency, ok, sample, path))
+
+    start = time.perf_counter()
+    with ThreadPoolExecutor(max_workers=client_threads) as pool:
+        futures = []
+        for offset, sample in trace:
+            scheduled_abs = start + offset
+            delay = scheduled_abs - time.perf_counter()
+            if delay > 0:
+                time.sleep(delay)
+            futures.append(pool.submit(fire, sample, scheduled_abs))
+        for future in futures:
+            future.result()
+    return results, time.perf_counter() - start
 
 
 def _feed_with_retry(session, point, attempts: int = 40):
@@ -96,7 +163,6 @@ class TestGatewayKill:
         shared segment the deployment published — /dev/shm is not a
         leak site, even for a death no atexit hook survives."""
         dataset_path, model_path = cluster_paths
-        baseline = set(leaked_segments())
         src = Path(__file__).resolve().parents[1] / "src"
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
@@ -131,11 +197,12 @@ class TestGatewayKill:
                 if matched:
                     address = (matched.group(1), int(matched.group(2)))
 
-            published = set(leaked_segments()) - baseline
-            assert published, "the deployment published no segments?"
-
             # Real traffic is in flight when the axe falls.
             client = MatchingClient(*address, timeout=60.0)
+            published = {
+                shard["segment"] for shard in client.metrics()["shards"].values()
+            }
+            assert published, "the deployment published no segments?"
             sample = tiny_dataset.test[0]
             results = client.match_with_retry([sample.cellular], max_attempts=6)
             assert results[0]["path"]
@@ -167,6 +234,7 @@ class TestZeroDowntimeRollout:
         firing: zero failed requests, every path bit-identical on both
         generations, and a streaming session opened on generation 1
         finishes on generation 2 exactly like an uninterrupted decode."""
+        own = OwnSegments()
         registry = _publish(cluster_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=2, cache_size=0)
@@ -231,7 +299,7 @@ class TestZeroDowntimeRollout:
             assert metrics["counters"]["rollout_failures_total"] == 0
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
     def test_failed_canary_rolls_back_and_old_generation_serves(
         self, cluster_paths, trained_lhmm, tiny_dataset, monkeypatch
@@ -240,6 +308,7 @@ class TestZeroDowntimeRollout:
         staged segments are unlinked, generation 1 keeps serving, and the
         journal records the rollback.  Clearing the fault, the *same*
         deployment rolls out successfully."""
+        own = OwnSegments()
         registry = _publish(cluster_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=2, cache_size=0)
@@ -247,7 +316,7 @@ class TestZeroDowntimeRollout:
         try:
             client = MatchingClient(server.host, server.port, timeout=60.0)
             sample = tiny_dataset.test[2]
-            baseline = set(leaked_segments())
+            baseline = set(own.leaked())
 
             # The probe worker forks during the rollout and inherits this
             # env; the already-running serving workers predate it and are
@@ -260,7 +329,7 @@ class TestZeroDowntimeRollout:
             # Rolled back completely: same generation, same segments,
             # same (bit-identical) answers.
             assert registry.generations()["default"] == 1
-            assert set(leaked_segments()) == baseline
+            assert set(own.leaked()) == baseline
             result = client.match_with_retry([sample.cellular], max_attempts=6)
             assert result[0]["path"] == trained_lhmm.match(sample.cellular).path
             metrics = client.metrics()
@@ -276,7 +345,7 @@ class TestZeroDowntimeRollout:
             assert client.health()["generations"]["default"] == 2
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
 
 class TestAutoscaler:
@@ -288,6 +357,7 @@ class TestAutoscaler:
         ``max_workers``, then drains back to ``min_workers`` once the
         burst passes — with a streaming session surviving both directions
         and every request answered bit-identically."""
+        own = OwnSegments()
         registry = _publish(cluster_paths)
         server = ClusterServer(
             registry,
@@ -361,7 +431,7 @@ class TestAutoscaler:
             ).match_stream(stream_sample.cellular)
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
 
 class TestStallDetection:
@@ -376,6 +446,7 @@ class TestStallDetection:
             faults.ENV_VAR,
             f"cluster.op:hang:op=ping:seconds=60:once={token}",
         )
+        own = OwnSegments()
         registry = _publish(cluster_paths)
         server = ClusterServer(
             registry,
@@ -416,7 +487,7 @@ class TestStallDetection:
             assert "worker_stall" in events
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
 
 class TestABSplitUnderFire:
@@ -437,6 +508,7 @@ class TestABSplitUnderFire:
 
         dataset_path, model_path = cluster_paths
         ema_matcher = LHMM.load(model_path, tiny_dataset, weights="ema")
+        own = OwnSegments()
         registry = _publish(cluster_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=2, cache_size=0)
@@ -515,4 +587,4 @@ class TestABSplitUnderFire:
             assert client.health()["ab_live"] == []
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []

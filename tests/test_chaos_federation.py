@@ -84,7 +84,6 @@ class Gateway:
         regions,
         fed_port: int,
         peers,
-        transport: str = "socketpair",
         route_mode: str = "proxy",
     ) -> None:
         dataset_path, model_path = cluster_paths
@@ -98,7 +97,6 @@ class Gateway:
         cmd = [
             sys.executable, "-u", "-m", "repro", "serve", "--cluster",
             "--workers", "1", "--port", "0", "--cache-size", "0",
-            "--transport", transport,
             "--node", node, "--fed-port", str(fed_port),
             "--fed-heartbeat", "0.2", "--fed-heartbeat-timeout", "1.0",
             "--route-mode", route_mode,
@@ -321,21 +319,22 @@ class TestOwnerSigkillFailover:
     def test_session_fails_over_to_replica_bit_identically(
         self, cluster_paths, tmp_path, trained_lhmm, tiny_dataset
     ):
-        """SIGKILL the gateway owning a mid-flight streaming session (a
-        TCP-transport deployment).  The client's fallback target adopts
-        the replicated journal and the committed path is bit-identical to
-        an uninterrupted ``OnlineLHMM`` decode; the dead gateway's shared
-        segments are unlinked even though its workers never saw a signal."""
-        baseline = set(leaked_segments())
+        """SIGKILL the gateway owning a mid-flight streaming session.  The
+        client's fallback target adopts the replicated journal and the
+        committed path is bit-identical to an uninterrupted ``OnlineLHMM``
+        decode; the dead gateway's shared segments are unlinked even
+        though its workers never saw a signal."""
         port_a, port_b = _free_port(), _free_port()
         a = Gateway(
             "node-a", cluster_paths, tmp_path, regions=("default",),
             fed_port=port_a, peers=[f"node-b=127.0.0.1:{port_b}"],
-            transport="tcp",
         )
         try:
             a.await_address()
-            a_segments = set(leaked_segments()) - baseline
+            a_segments = {
+                shard["segment"]
+                for shard in a.client().metrics()["shards"].values()
+            }
             assert a_segments, "node-a published no segments?"
             b = Gateway(
                 "node-b", cluster_paths, tmp_path, regions=("default",),
@@ -379,8 +378,8 @@ class TestOwnerSigkillFailover:
             counters = survivor.metrics()["counters"]
             assert counters["fed_adoptions_total"] >= 1
 
-            # TCP workers hold no janitor guard, so the dead gateway alone
-            # keyed the cleanup: its segments must already be unlinking.
+            # The orphaned workers read EOF on their gateway socketpair and
+            # exit; the janitor then sees its pipe close and unlinks.
             _await(
                 lambda: not (set(leaked_segments()) & a_segments),
                 timeout_s=30.0,

@@ -348,10 +348,12 @@ class TestServeCommandLine:
         config = _cluster_config(without)
         assert (config.num_workers, config.port) == (1, 0)
 
-    #: argparse ``dest`` names of the options that only tuned the
-    #: threaded server; each must now be a usage error.
+    #: argparse ``dest`` names of the options that only tuned the removed
+    #: threaded server or TCP worker transport; each must be a usage error.
     REMOVED = ["batch_window_ms", "batch_max", "queue_limit", "chunk_timeout",
-               "log_requests"]
+               "log_requests", "transport"]
+    #: The value each removed option is given (``--transport tcp``).
+    VALUES = {"log_requests": [], "transport": ["tcp"]}
 
     @pytest.mark.parametrize("dest", REMOVED)
     def test_removed_flags_are_usage_errors(self, dest, capsys):
@@ -360,7 +362,7 @@ class TestServeCommandLine:
         args = _build_parser().parse_args(["serve", *self.BENCH_ARGS])
         assert not hasattr(args, dest)
         flag = "--" + dest.replace("_", "-")
-        value = [] if dest == "log_requests" else ["1"]
+        value = self.VALUES.get(dest, ["1"])
         with pytest.raises(SystemExit) as excinfo:
             main(["serve", *self.BENCH_ARGS, flag, *value])
         assert excinfo.value.code == 2

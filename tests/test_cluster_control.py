@@ -40,7 +40,7 @@ from repro.serve import (
     ShardRegistry,
     ShardSpec,
 )
-from repro.serve.shm import leaked_segments
+from tests.conftest import OwnSegments
 
 
 # =====================================================================
@@ -341,6 +341,7 @@ class TestRolloutEndpoint:
     def test_rollout_publishes_new_generation_bit_identically(
         self, control_paths, trained_lhmm, tiny_dataset
     ):
+        own = OwnSegments()
         registry = _publish(control_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=2, cache_size=0)
@@ -377,13 +378,14 @@ class TestRolloutEndpoint:
             assert "rollout_committed" in events or "rollout_started" in events
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
     def test_corrupt_artifact_is_rejected_and_old_generation_serves(
         self, control_paths, trained_lhmm, tiny_dataset, tmp_path
     ):
         bad_model = tmp_path / "corrupt.npz"
         bad_model.write_bytes(b"this is not an npz archive")
+        own = OwnSegments()
         registry = _publish(control_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=1, cache_size=0)
@@ -391,7 +393,7 @@ class TestRolloutEndpoint:
         try:
             client = MatchingClient(server.host, server.port, timeout=60.0)
             sample = tiny_dataset.samples[4]
-            baseline = set(leaked_segments())
+            baseline = set(own.leaked())
 
             with pytest.raises(ServeClientError) as excinfo:
                 client.rollout(model=str(bad_model))
@@ -402,15 +404,16 @@ class TestRolloutEndpoint:
             assert client.health()["generations"]["default"] == 1
             result = client.match([sample.cellular])
             assert result[0]["path"] == trained_lhmm.match(sample.cellular).path
-            assert set(leaked_segments()) == baseline
+            assert set(own.leaked()) == baseline
             metrics = client.metrics()
             assert metrics["counters"]["rollout_failures_total"] >= 1
             assert metrics["counters"]["rollouts_total"] == 0
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
     def test_rollout_unknown_region_is_404_and_bad_model_type_400(self, control_paths):
+        own = OwnSegments()
         registry = _publish(control_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=1, cache_size=0)
@@ -425,7 +428,7 @@ class TestRolloutEndpoint:
             assert excinfo.value.status == 400
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
 
 class TestDeadlinesAndOverload:
@@ -443,6 +446,7 @@ class TestDeadlinesAndOverload:
         monkeypatch.setenv(
             "REPRO_FAULTS", f"cluster.op:hang:op=match:seconds=3:once={token}"
         )
+        own = OwnSegments()
         registry = _publish(control_paths)
         server = ClusterServer(
             registry,
@@ -509,11 +513,12 @@ class TestDeadlinesAndOverload:
         finally:
             pool.shutdown(wait=False)
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []
 
     def test_generous_deadline_serves_normally(
         self, control_paths, trained_lhmm, tiny_dataset
     ):
+        own = OwnSegments()
         registry = _publish(control_paths)
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=1, cache_size=0)
@@ -525,4 +530,4 @@ class TestDeadlinesAndOverload:
             assert result[0]["path"] == trained_lhmm.match(sample.cellular).path
         finally:
             server.shutdown()
-        assert leaked_segments() == []
+        assert own.leaked() == []

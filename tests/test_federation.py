@@ -1,12 +1,9 @@
 """Federated multi-host serving: TCP transport, routing, replication, fencing.
 
-Three layers under test:
+Two layers under test:
 
-* :mod:`repro.serve.transport` — frame dialing, fenced handshakes, and
-  the heartbeat-guarded :class:`PeerLink` (pure asyncio, no cluster);
-* the cluster's **TCP worker transport** — workers dial the gateway back
-  over localhost TCP instead of inheriting a socketpair, with
-  generation-fenced check-ins, and serve byte-identically;
+* :mod:`repro.serve.transport` — fenced handshakes and the
+  heartbeat-guarded :class:`PeerLink` (pure asyncio, no cluster);
 * :mod:`repro.serve.federation` — two in-process gateways, each owning
   one region, proxying/redirecting misrouted requests, replicating
   session journals, and adopting sessions across a simulated partition
@@ -20,9 +17,7 @@ frame-dropping proxy) live in ``tests/test_chaos_federation.py``.
 from __future__ import annotations
 
 import asyncio
-import os
 import socket
-import threading
 import time
 
 import pytest
@@ -41,17 +36,15 @@ from repro.serve import (
     ShardRegistry,
     ShardSpec,
 )
-from repro.serve import ipc, protocol
-from repro.serve.shm import SegmentJanitor, leaked_segments
+from repro.serve import protocol
 from repro.serve.transport import (
     FenceRegistry,
     FrameListener,
-    HandshakeRejected,
     PeerLink,
     TransportConfig,
     backoff_delays,
-    dial_blocking,
 )
+from tests.conftest import OwnSegments
 
 FAST = TransportConfig(
     connect_timeout_s=2.0,
@@ -118,51 +111,6 @@ class TestPeerSpec:
 def test_backoff_delays_cap():
     gen = backoff_delays(0.2, 1.0)
     assert [next(gen) for _ in range(5)] == [0.2, 0.4, 0.8, 1.0, 1.0]
-
-
-class TestDialBlocking:
-    def _listener_thread(self, ack: dict):
-        server = socket.socket()
-        server.bind(("127.0.0.1", 0))
-        server.listen(1)
-        seen: dict = {}
-
-        def run():
-            conn, _ = server.accept()
-            with conn:
-                seen.update(ipc.recv_message(conn) or {})
-                ipc.send_message(conn, ack)
-            server.close()
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        return server.getsockname()[1], seen, thread
-
-    def test_handshake_accepted(self):
-        port, seen, thread = self._listener_thread({"ok": True, "node": "gw"})
-        sock, ack = dial_blocking(
-            "127.0.0.1", port, {"node": "w0", "generation": 3}, config=FAST
-        )
-        sock.close()
-        thread.join(timeout=5)
-        assert ack["node"] == "gw"
-        assert seen["op"] == "hello" and seen["generation"] == 3
-
-    def test_handshake_rejected_raises(self):
-        port, _, thread = self._listener_thread(
-            {"ok": False, "error": {"code": "stale_worker", "message": "fenced"}}
-        )
-        with pytest.raises(HandshakeRejected) as excinfo:
-            dial_blocking("127.0.0.1", port, {"node": "w0"}, config=FAST)
-        thread.join(timeout=5)
-        assert excinfo.value.code == "stale_worker"
-
-    def test_unreachable_times_out(self):
-        port = _free_port()  # bound then released: nothing listens here
-        with pytest.raises(Exception):
-            dial_blocking(
-                "127.0.0.1", port, {"node": "w0"}, deadline_s=0.3, config=FAST
-            )
 
 
 class TestPeerLink:
@@ -253,16 +201,6 @@ class TestPeerLink:
         asyncio.run(main())
 
 
-def test_segment_janitor_guard_fd_release():
-    """A remote-transport worker can drop its inherited guard fd."""
-    janitor = SegmentJanitor()
-    assert isinstance(janitor.guard_fd, int)
-    janitor.release_inherited()  # closes the write end -> child sees EOF
-    assert janitor.guard_fd is None
-    janitor.release_inherited()  # idempotent
-    os.waitpid(janitor.pid, 0)  # child exits (no names registered, no unlink)
-
-
 # --------------------------------------------------------------------------
 # Cluster fixtures
 # --------------------------------------------------------------------------
@@ -282,97 +220,6 @@ def _specs(cluster_paths, regions):
         ShardSpec(region=region, dataset=dataset_path, model=model_path)
         for region in regions
     ]
-
-
-# --------------------------------------------------------------------------
-# TCP worker transport
-# --------------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def tcp_cluster(cluster_paths):
-    before = set(leaked_segments())  # other module-scoped clusters may live
-    registry = ShardRegistry.publish(_specs(cluster_paths, ("default",)))
-    server = ClusterServer(
-        registry,
-        ClusterConfig(
-            port=0, num_workers=2, cache_size=0, session_ttl_s=60.0,
-            worker_transport="tcp",
-        ),
-    )
-    with server:
-        yield server
-    assert set(leaked_segments()) == before
-
-
-class TestTcpWorkerTransport:
-    def test_match_byte_identical(self, tcp_cluster, trained_lhmm, tiny_dataset):
-        client = MatchingClient(tcp_cluster.host, tcp_cluster.port, timeout=60.0)
-        samples = tiny_dataset.samples[:4]
-        served = client.match([s.cellular for s in samples])
-        for sample, got in zip(samples, served):
-            expected = protocol.encode_match_result(trained_lhmm.match(sample.cellular))
-            assert got == expected
-
-    def test_streaming_matches_online_decoder(
-        self, tcp_cluster, trained_lhmm, tiny_dataset
-    ):
-        client = MatchingClient(tcp_cluster.host, tcp_cluster.port, timeout=60.0)
-        sample = tiny_dataset.samples[5]
-        session = client.create_session(lag=3)
-        for point in sample.cellular.points:
-            session.feed(point)
-        assert session.close() == OnlineLHMM(trained_lhmm, lag=3).match_stream(
-            sample.cellular
-        )
-
-    def test_healthz_reports_transport(self, tcp_cluster):
-        client = MatchingClient(tcp_cluster.host, tcp_cluster.port, timeout=30.0)
-        health = client.health()
-        assert health["worker_transport"] == "tcp"
-        assert health["workers_alive"] >= 1
-
-    def test_stale_dialback_is_fenced(self, tcp_cluster):
-        """A hello with the wrong (generation, token) pair is rejected."""
-        before = _submit(tcp_cluster, tcp_cluster.handle_metrics({}, None))[1][
-            "counters"
-        ].get("workers_fenced_total", 0)
-        decision = _submit(
-            tcp_cluster,
-            tcp_cluster._on_worker_hello(
-                {"node": "w0", "generation": 999, "token": "bogus"}, None, None
-            ),
-        )
-        assert decision[0] == "reject"
-        assert decision[1]["error"]["code"] == "stale_worker"
-        after = _submit(tcp_cluster, tcp_cluster.handle_metrics({}, None))[1][
-            "counters"
-        ]["workers_fenced_total"]
-        assert after == before + 1
-
-    def test_worker_survives_respawn_roundtrip(self, tcp_cluster, tiny_dataset):
-        """Kill one TCP worker; the supervisor respawns it and serving resumes."""
-        victim = next(iter(tcp_cluster._handles.values()))
-        os.kill(victim.process.pid, 9)
-        client = MatchingClient(tcp_cluster.host, tcp_cluster.port, timeout=60.0)
-        result = client.match_with_retry(
-            [tiny_dataset.samples[6].cellular], base_delay_s=0.2
-        )
-        assert result[0]["path"]
-        _wait_for(
-            lambda: sum(h.alive for h in tcp_cluster._handles.values()) >= 2,
-            message="respawned TCP worker fleet",
-        )
-
-    def test_client_rotates_to_fallback_target(self, tcp_cluster, tiny_dataset):
-        """A dead primary plus a live fallback still serves session traffic."""
-        client = MatchingClient(
-            "127.0.0.1", _free_port(),  # nothing listens on the primary
-            timeout=30.0,
-            fallbacks=[(tcp_cluster.host, tcp_cluster.port)],
-            failover_deadline_s=15.0,
-        )
-        session = client.create_session(lag=3)
-        session.feed(tiny_dataset.samples[0].cellular.points[0])
-        assert isinstance(session.close(), list)
 
 
 def test_parse_location_splits_host_port_path():
@@ -432,14 +279,14 @@ def _boot_pair(cluster_paths, regions_a, regions_b, route_a="proxy", route_b="pr
 
 @pytest.fixture(scope="module")
 def federation_pair(cluster_paths):
-    before = set(leaked_segments())  # other module-scoped clusters may live
+    own = OwnSegments()
     pair = _boot_pair(
         cluster_paths, ("default",), ("uptown",), route_a="proxy", route_b="redirect"
     )
     yield pair
     pair[1].shutdown()
     pair[0].shutdown()
-    assert set(leaked_segments()) == before
+    assert own.leaked() == []
 
 
 class TestFederatedRouting:
@@ -555,12 +402,12 @@ class TestFederatedReplication:
 def failover_pair(cluster_paths):
     # Both nodes serve "default" (so either can own a failed-over session);
     # only node-a serves "uptown" (so its loss partitions that region).
-    before = set(leaked_segments())  # module-scoped clusters are still live
+    own = OwnSegments()
     pair = _boot_pair(cluster_paths, ("default", "uptown"), ("default",))
     yield pair
     pair[1].shutdown()
     pair[0].shutdown()
-    assert set(leaked_segments()) == before
+    assert own.leaked() == []
 
 
 class TestPartitionFailover:

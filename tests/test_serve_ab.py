@@ -33,7 +33,7 @@ from repro.serve import (
     routes_to_challenger,
 )
 from repro.serve import protocol
-from repro.serve.shm import leaked_segments
+from tests.conftest import OwnSegments
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +86,7 @@ def cluster_paths(tmp_path_factory, tiny_dataset, trained_lhmm):
 @pytest.fixture()
 def cluster(cluster_paths):
     dataset_path, model_path = cluster_paths
+    own = OwnSegments()
     registry = ShardRegistry.publish(
         [ShardSpec(region="default", dataset=dataset_path, model=model_path)]
     )
@@ -94,7 +95,7 @@ def cluster(cluster_paths):
     )
     with server:
         yield server
-    assert leaked_segments() == []
+    assert own.leaked() == []
 
 
 @pytest.fixture()

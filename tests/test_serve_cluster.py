@@ -11,7 +11,11 @@ different matcher.
 
 from __future__ import annotations
 
+import os
+import signal
+import socket
 import threading
+import time
 
 import pytest
 
@@ -26,7 +30,7 @@ from repro.serve import (
     ShardSpec,
 )
 from repro.serve import protocol
-from repro.serve.shm import leaked_segments
+from tests.conftest import OwnSegments
 
 
 @pytest.fixture(scope="module")
@@ -49,6 +53,7 @@ def _specs(cluster_paths, regions=("default",)):
 
 @pytest.fixture(scope="module")
 def cluster(cluster_paths):
+    own = OwnSegments()
     registry = ShardRegistry.publish(
         _specs(cluster_paths, regions=("default", "uptown"))
     )
@@ -58,7 +63,7 @@ def cluster(cluster_paths):
     )
     with server:
         yield server
-    assert leaked_segments() == []
+    assert own.leaked() == []
 
 
 @pytest.fixture()
@@ -190,6 +195,21 @@ class TestStreamingSessions:
         assert cluster._records[session.session_id].worker_name == owner
         session.close()
 
+    def test_client_rotates_to_fallback_target(self, cluster, tiny_dataset):
+        """A dead primary plus a live fallback still serves session traffic."""
+        with socket.socket() as probe:  # bound then released: nothing listens
+            probe.bind(("127.0.0.1", 0))
+            dead_port = probe.getsockname()[1]
+        client = MatchingClient(
+            "127.0.0.1", dead_port,
+            timeout=30.0,
+            fallbacks=[(cluster.host, cluster.port)],
+            failover_deadline_s=15.0,
+        )
+        session = client.create_session(lag=3)
+        session.feed(tiny_dataset.samples[0].cellular.points[0])
+        assert isinstance(session.close(), list)
+
 
 class TestObservability:
     def test_healthz_shape(self, client):
@@ -218,8 +238,8 @@ class TestLifecycle:
     def test_drain_commits_open_sessions_and_unlinks(
         self, cluster_paths, trained_lhmm, tiny_dataset
     ):
+        own = OwnSegments()
         registry = ShardRegistry.publish(_specs(cluster_paths))
-        segments = {s["segment"] for s in registry.describe().values()}
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=1, cache_size=0)
         ).start()
@@ -238,17 +258,45 @@ class TestLifecycle:
             decoder.add_point(point)
         assert summary["sessions"][session.session_id] == decoder.finish()
         # This cluster's segments are gone (the module cluster's remain).
-        assert segments.isdisjoint(leaked_segments())
+        assert own.leaked() == []
 
     def test_shutdown_is_idempotent(self, cluster_paths):
+        own = OwnSegments()
         registry = ShardRegistry.publish(_specs(cluster_paths))
-        segments = {s["segment"] for s in registry.describe().values()}
         server = ClusterServer(
             registry, ClusterConfig(port=0, num_workers=1)
         ).start()
         server.shutdown()
         server.shutdown()  # second call must not raise
-        assert segments.isdisjoint(leaked_segments())
+        assert own.leaked() == []
+
+    def test_worker_survives_respawn_roundtrip(
+        self, cluster_paths, trained_lhmm, tiny_dataset
+    ):
+        """Kill one worker; the supervisor respawns it and serving resumes."""
+        own = OwnSegments()
+        server = ClusterServer(
+            ShardRegistry.publish(_specs(cluster_paths)),
+            ClusterConfig(port=0, num_workers=2, cache_size=0),
+        ).start()
+        try:
+            victim = server._handles["w0"]
+            os.kill(victim.process.pid, signal.SIGKILL)
+            client = MatchingClient(server.host, server.port, timeout=60.0)
+            sample = tiny_dataset.samples[6]
+            result = client.match_with_retry([sample.cellular], base_delay_s=0.2)
+            assert result[0]["path"] == trained_lhmm.match(sample.cellular).path
+            deadline = time.monotonic() + 30
+            while True:
+                health = client.health()
+                if health["respawns_used"] >= 1 and health["workers_alive"] == 2:
+                    break
+                assert time.monotonic() < deadline, f"no respawn: {health}"
+                time.sleep(0.05)
+            assert server._handles["w0"].generation == victim.generation + 1
+        finally:
+            server.shutdown()
+        assert own.leaked() == []
 
     def test_port_zero_resolves(self, cluster):
         assert cluster.port != 0

@@ -15,7 +15,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.core import OnlineLHMM
-from repro.serve import MatchingClient, ServeClientError, ServerBusy, protocol
+from repro.serve import MatchingClient, ServeClientError, ServerBusy, cluster, protocol
 
 
 @pytest.fixture()
@@ -225,6 +225,20 @@ class TestHttpReaderLimits:
         assert status == 400
         assert b"Transfer-Encoding" in body
         assert b"HTTP/1.1 200" not in body
+
+    def test_silent_client_is_closed_after_the_read_timeout(
+        self, gateway, monkeypatch, trained_lhmm, tiny_dataset
+    ):
+        """A client that connects and sends nothing loses the connection
+        once the read timeout expires, and the gateway keeps matching."""
+        monkeypatch.setattr(cluster, "_READ_TIMEOUT_S", 0.5)
+        with socket.create_connection((gateway.host, gateway.port), timeout=10) as sock:
+            started = time.monotonic()
+            assert sock.recv(1) == b""  # closed without an answer
+            assert time.monotonic() - started >= 0.4
+        sample = tiny_dataset.test[0]
+        served = MatchingClient(gateway.host, gateway.port).match([sample.cellular])
+        assert served[0]["path"] == trained_lhmm.match(sample.cellular).path
 
 
 class TestBackpressureAndDrain:

@@ -23,6 +23,7 @@ from repro.network.ubodt import Ubodt
 from repro.serve import ipc
 from repro.serve.shards import ShardRegistry, ShardSpec
 from repro.serve.shm import ALIGNMENT, SharedArrayPack, leaked_segments
+from tests.conftest import OwnSegments
 
 
 # =====================================================================
@@ -279,6 +280,7 @@ class TestAdoptConstructors:
         save_dataset(tiny_dataset, dataset_path)
         trained_lhmm.save(model_path)
 
+        own = OwnSegments()
         registry = ShardRegistry.publish(
             [ShardSpec(region="default", dataset=str(dataset_path),
                        model=str(model_path))]
@@ -300,4 +302,4 @@ class TestAdoptConstructors:
             pack.close()
         finally:
             registry.close(unlink=True)
-        assert leaked_segments() == []
+        assert own.leaked() == []
