@@ -123,22 +123,6 @@ class OnlineLHMM:
             self._committed_through += 1
 
     # ------------------------------------------------------------- interface
-    def reset(self) -> None:
-        """Discard all streaming state so the decoder can start a new
-        trajectory without rebuilding the (expensive) fitted matcher.
-
-        After ``reset()`` the instance is indistinguishable from a freshly
-        constructed one: replaying the same points yields the same commits.
-        The serving layer's session manager uses this to recycle decoder
-        objects across sessions.
-        """
-        self._points = []
-        self._layers = []
-        self._f = []
-        self._pre = []
-        self._committed_through = 0
-        self._emitted = []
-
     def add_point(self, point: TrajectoryPoint) -> None:
         """Feed the next cellular sample."""
         matcher = self.matcher

@@ -4,8 +4,8 @@ The service keeps fitted matchers hot and serves the paper's two
 deployment modes over HTTP/JSON:
 
 * **streaming sessions** — points arrive one at a time and fixed-lag
-  commits stream back (:mod:`repro.serve.sessions` over
-  :class:`~repro.core.online.OnlineLHMM`);
+  commits stream back (one :class:`~repro.core.online.OnlineLHMM` per
+  session on a worker; the gateway owns ids, admission and expiry);
 * **batch matching** — whole trajectories through ``match_many``.
 
 There is one server, :class:`~repro.serve.cluster.ClusterServer`: a
@@ -68,6 +68,8 @@ from repro.serve.cluster import (
     ClusterServer,
     ConsistentHashRing,
     SessionFenced,
+    SessionLimitError,
+    UnknownSessionError,
 )
 from repro.serve.control import (
     AdmissionGate,
@@ -78,7 +80,6 @@ from repro.serve.control import (
 from repro.serve.federation import FederationConfig, FederationRuntime, PeerSpec
 from repro.serve.metrics import RollingWindow, ServeMetrics
 from repro.serve.protocol import PROTOCOL_VERSION, ProtocolError
-from repro.serve.sessions import SessionLimitError, SessionManager, UnknownSessionError
 from repro.serve.shards import DEFAULT_REGION, ShardRegistry, ShardSpec
 from repro.serve.shm import SegmentJanitor, SharedArrayPack
 from repro.serve.transport import (
@@ -116,7 +117,6 @@ __all__ = [
     "ServerBusy",
     "SessionFenced",
     "SessionLimitError",
-    "SessionManager",
     "SharedArrayPack",
     "ShardRegistry",
     "ShardSpec",

@@ -85,6 +85,7 @@ from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from repro.core.online import OnlineLHMM
 from repro.errors import (
     ClusterUnavailable,
     DeadlineExceeded,
@@ -106,7 +107,6 @@ from repro.serve.control import (
 )
 from repro.serve.metrics import ServeMetrics
 from repro.serve.protocol import ProtocolError
-from repro.serve.sessions import SessionLimitError, SessionManager, UnknownSessionError
 from repro.serve.shards import DEFAULT_REGION, ShardRegistry
 from repro.testing import faults
 
@@ -295,6 +295,14 @@ class _ABRecord:
     handle: "_WorkerHandle"
 
 
+class UnknownSessionError(KeyError):
+    """The session id does not exist (expired, closed, or never created)."""
+
+
+class SessionLimitError(RuntimeError):
+    """``max_sessions`` live sessions already exist (HTTP 429)."""
+
+
 class SessionFenced(Exception):
     """A federated session op lost a fencing race (HTTP 409).
 
@@ -410,8 +418,6 @@ def _error_payload(error: BaseException) -> dict:
             "message": f"unknown session {error.args[0]!r}",
             "status": 404,
         }
-    if isinstance(error, SessionLimitError):
-        return {"code": "session_limit", "message": str(error), "status": 429}
     if isinstance(error, ReproError):
         return {
             "code": error.code,
@@ -432,7 +438,10 @@ class _WorkerRuntime:
         self.matched_total = 0
         self._matchers = {}
         self._packs = {}
-        self._managers: dict[str, SessionManager] = {}
+        #: Streaming decoders by ``(region, session_id)`` with the time
+        #: each was last used.  The gateway owns session lifecycle
+        #: (ids, admission, TTL); this map is only decoder state.
+        self._decoders: dict[tuple[str, str], tuple[OnlineLHMM, float]] = {}
         # Attach every region up front: startup is the cheap moment to
         # pay mapping costs, and a worker that cannot attach must die
         # *before* it is offered traffic.
@@ -447,20 +456,12 @@ class _WorkerRuntime:
         except KeyError:
             raise UnknownRegion(f"region {region!r} is not served here") from None
 
-    def _manager(self, region: str) -> SessionManager:
-        manager = self._managers.get(region)
-        if manager is None:
-            manager = SessionManager(
-                self._matcher(region),
-                default_lag=self.options["default_lag"],
-                default_context_window=self.options["default_context_window"],
-                max_sessions=self.options["max_sessions"],
-                # The gateway is the authority on session lifetime; the
-                # worker-side TTL is a backstop against orphaned state.
-                ttl_s=self.options["session_ttl_s"] * 4.0,
-            )
-            self._managers[region] = manager
-        return manager
+    def _decoder(self, message: dict) -> tuple[tuple[str, str], OnlineLHMM]:
+        key = (message.get("region", DEFAULT_REGION), message["session_id"])
+        entry = self._decoders.get(key)
+        if entry is None:
+            raise UnknownSessionError(key[1])
+        return key, entry[0]
 
     # --------------------------------------------------------------- ops
     def handle(self, message: dict) -> dict:
@@ -525,35 +526,62 @@ class _WorkerRuntime:
         }
 
     def _op_session_open(self, message: dict) -> dict:
+        """Build a fresh decoder, replacing any under the same id.
+
+        The gateway decides when a session is (re)built and always
+        replays its full journal after an open, so a stale decoder left
+        here by an earlier owner round must never block the rebuild.
+        """
         region = message.get("region", DEFAULT_REGION)
-        session = self._manager(region).create(
-            lag=message.get("lag"),
-            context_window=message.get("context_window"),
-            session_id=message["session_id"],
+        matcher = self._matcher(region)
+        lag = message.get("lag")
+        context_window = message.get("context_window")
+        decoder = OnlineLHMM(
+            matcher,
+            lag=self.options["default_lag"] if lag is None else int(lag),
+            context_window=(
+                self.options["default_context_window"]
+                if context_window is None
+                else int(context_window)
+            ),
         )
+        # Backstop against orphans (sessions that moved to another
+        # worker or expired at the gateway): drop decoders idle for
+        # four gateway TTLs.
+        now = time.monotonic()
+        idle_limit = 4.0 * self.options["session_ttl_s"]
+        for key, (_, touched) in list(self._decoders.items()):
+            if now - touched > idle_limit:
+                del self._decoders[key]
+        self._decoders[(region, message["session_id"])] = (decoder, now)
         return {
-            "session_id": session.session_id,
-            "lag": session.decoder.lag,
-            "context_window": session.decoder.context_window,
+            "session_id": message["session_id"],
+            "lag": decoder.lag,
+            "context_window": decoder.context_window,
         }
 
     def _op_session_feed(self, message: dict) -> dict:
-        region = message.get("region", DEFAULT_REGION)
         points = protocol.decode_points(message.get("points"), "points")
-        state = self._manager(region).feed(message["session_id"], points)
-        return {"state": state}
+        key, decoder = self._decoder(message)
+        self._decoders[key] = (decoder, time.monotonic())
+        for point in points:
+            decoder.add_point(point)
+        return {
+            "state": {
+                "committed": decoder.committed_path,
+                "pending": decoder.pending_points(),
+            }
+        }
 
     def _op_session_close(self, message: dict) -> dict:
-        region = message.get("region", DEFAULT_REGION)
-        final = self._manager(region).close(message["session_id"])
-        return {"final": final}
+        key, decoder = self._decoder(message)
+        del self._decoders[key]
+        return {"final": {"path": decoder.finish()}}
 
     def _op_stats(self, message: dict) -> dict:
         return {
             "memory": _process_memory(),
-            "sessions": {
-                region: manager.stats() for region, manager in self._managers.items()
-            },
+            "live_decoders": len(self._decoders),
             "matched_total": self.matched_total,
         }
 
@@ -585,10 +613,9 @@ class _WorkerRuntime:
         }
 
     def _op_shutdown(self, message: dict) -> dict:
-        finished = {}
-        for manager in self._managers.values():
-            finished.update(manager.close_all())
-        return {"closed_sessions": len(finished)}
+        # The gateway closes every session it commits before this op;
+        # any decoder left is an orphan and dies with the process.
+        return {}
 
 
 def _worker_loop(sock: socket.socket, registry: ShardRegistry, options: dict) -> int:
@@ -907,7 +934,6 @@ class ClusterServer:
             "name": name,
             "default_lag": self.config.default_lag,
             "default_context_window": self.config.default_context_window,
-            "max_sessions": self.config.max_sessions,
             "session_ttl_s": self.config.session_ttl_s,
         }
         # The forked child inherits every gateway-side IPC fd open right
@@ -1197,6 +1223,7 @@ class ClusterServer:
                 self._gate.sweep()
                 now = time.monotonic()
                 self._schedule_probes(now)
+                self._sweep_sessions(now)
                 await self._autoscale_tick(now)
                 self.metrics.set_gauge("admission_queue_depth", self._gate.depth)
                 self.metrics.set_gauge("admission_inflight", self._gate.inflight)
@@ -1206,6 +1233,24 @@ class ClusterServer:
                 raise
             except Exception as error:  # noqa: BLE001 - the loop must survive
                 self._journal.record("control_error", error=repr(error))
+
+    def _sweep_sessions(self, now: float) -> None:
+        """Drop every session record idle longer than ``session_ttl_s``.
+
+        A record whose op is still running (its lock held) is in use,
+        not idle.  Its worker-side decoder is left to the worker's idle
+        backstop.
+        """
+        ttl = self.config.session_ttl_s
+        expired = [
+            sid
+            for sid, record in self._records.items()
+            if now - record.last_touched > ttl and not record.lock.locked()
+        ]
+        for sid in expired:
+            del self._records[sid]
+        if expired:
+            self.metrics.increment("sessions_evicted_total", len(expired))
 
     def _schedule_probes(self, now: float) -> None:
         for handle in list(self._handles.values()):
@@ -2062,12 +2107,7 @@ class ClusterServer:
         for name, value in (("lag", lag), ("context_window", context_window)):
             if value is not None and (isinstance(value, bool) or not isinstance(value, int)):
                 raise ProtocolError(f"field {name!r} must be an integer")
-        live = sum(
-            1
-            for r in self._records.values()
-            if time.monotonic() - r.last_touched <= self.config.session_ttl_s
-        )
-        if live >= self.config.max_sessions:
+        if len(self._records) >= self.config.max_sessions:
             raise SessionLimitError(
                 f"session limit reached ({self.config.max_sessions} live sessions)"
             )
@@ -2162,20 +2202,21 @@ class ClusterServer:
             extra: dict = {"points": points}
             if deadline is not None:
                 extra["deadline"] = deadline
-            state = await self._session_op(record, "session.feed", extra)
+            reply = await self._session_op(record, "session.feed", extra)
             # Journal only after the worker accepted: a rejected feed (bad
             # payload, 4xx) must not poison a future replay.
             record.journal.extend(points)
             record.last_touched = time.monotonic()
             if seq is not None:
                 record.last_seq = seq
-            record.last_state = state["state"]
+            state = {**reply["state"], "points": len(record.journal)}
+            record.last_state = state
             self.metrics.increment("points_fed", len(points))
             if self._fed is not None:
                 # Semi-sync journal shipping; raises SessionFenced (409)
                 # if the replica adopted the session while we were away.
                 await self._fed.replicate_feed(record, points)
-            return 200, state["state"]
+            return 200, state
         finally:
             self._gate.release()
 
@@ -2199,7 +2240,7 @@ class ClusterServer:
             self.metrics.increment("sessions_closed")
             if self._fed is not None:
                 self._fed.drop_replica(record)
-            return 200, final["final"]
+            return 200, {**final["final"], "points": len(record.journal)}
         finally:
             self._gate.release()
 
@@ -2337,6 +2378,7 @@ class ClusterServer:
             "worker_stalls_total",
             "breakers_open_total",
             "sessions_replayed_total",
+            "sessions_evicted_total",
             "scale_ups_total",
             "scale_downs_total",
             "rollouts_total",
@@ -2379,7 +2421,7 @@ class ClusterServer:
                 try:
                     stats = await handle.call({"op": "stats"}, timeout=5.0)
                     info["memory"] = stats.get("memory", {})
-                    info["sessions"] = stats.get("sessions", {})
+                    info["live_decoders"] = stats.get("live_decoders", 0)
                     info["matched_total"] = stats.get("matched_total", 0)
                 except (WorkerCrash, _WorkerOpError):  # racing a death
                     info["alive"] = False

@@ -55,13 +55,13 @@ from repro.errors import ClusterUnavailable, UnknownRegion
 from repro.serve.cluster import (
     ConsistentHashRing,
     SessionFenced,
+    UnknownSessionError,
     _error_payload,
     _HttpError,
     _SessionRecord,
     _WorkerOpError,
 )
 from repro.serve.protocol import ProtocolError
-from repro.serve.sessions import UnknownSessionError
 from repro.serve.shards import DEFAULT_REGION
 from repro.serve.transport import (
     FenceRegistry,

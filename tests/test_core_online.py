@@ -50,30 +50,6 @@ class TestOnlineLHMM:
             committed_lengths.append(len(online.committed_path))
         assert committed_lengths == sorted(committed_lengths)
 
-    def test_reset_then_replay_matches_fresh_instance(self, trained_lhmm, tiny_dataset):
-        """A reset decoder is indistinguishable from a newly built one."""
-        first, second = tiny_dataset.test[0], tiny_dataset.test[1]
-        recycled = OnlineLHMM(trained_lhmm, lag=3)
-        recycled.match_stream(first.cellular)  # dirty it with a full stream
-        recycled.reset()
-        assert recycled.pending_points() == 0
-        assert recycled.committed_path == []
-
-        fresh = OnlineLHMM(trained_lhmm, lag=3)
-        commits_recycled, commits_fresh = [], []
-        for point in second.cellular.points:
-            recycled.add_point(point)
-            fresh.add_point(point)
-            commits_recycled.append(list(recycled.committed_path))
-            commits_fresh.append(list(fresh.committed_path))
-        assert commits_recycled == commits_fresh
-        assert recycled.finish() == fresh.finish()
-
-    def test_reset_empty_decoder_is_harmless(self, trained_lhmm):
-        online = OnlineLHMM(trained_lhmm, lag=2)
-        online.reset()
-        assert online.finish() == []
-
     def test_online_close_to_batch(self, trained_lhmm, tiny_dataset):
         """With a generous lag the streamed path should resemble batch output."""
         from repro.eval.metrics import corridor_mismatch_fraction

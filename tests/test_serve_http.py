@@ -56,11 +56,12 @@ class TestEndToEnd:
         sample = tiny_dataset.test[0]
         reference = OnlineLHMM(trained_lhmm, lag=3)
         with client.create_session(lag=3) as session:
-            for point in sample.cellular.points:
+            for fed, point in enumerate(sample.cellular.points, start=1):
                 state = session.feed(point)
                 reference.add_point(point)
                 assert state["committed"] == reference.committed_path
                 assert state["pending"] == reference.pending_points()
+                assert state["points"] == fed
             path = session.close()
         assert path == reference.finish()
 
@@ -93,16 +94,20 @@ class TestEndToEnd:
                 trained_lhmm.match(sample.cellular)
             )
 
-    def test_session_decoders_are_recycled_across_http_sessions(
-        self, client, tiny_dataset
-    ):
+    def test_worker_drops_decoders_on_close(self, boot_gateway, tiny_dataset):
+        """A worker keeps a decoder only while its session is open."""
+        server = boot_gateway()
+        client = MatchingClient(server.host, server.port, timeout=60.0)
         sample = tiny_dataset.test[0]
-        for _ in range(2):
-            session = client.create_session(lag=3)
+        sessions = [client.create_session(lag=3) for _ in range(2)]
+        for session in sessions:
             session.feed(list(sample.cellular.points))
+        (worker,) = client.metrics()["workers"]
+        assert worker["live_decoders"] == 2
+        for session in sessions:
             session.close()
         (worker,) = client.metrics()["workers"]
-        assert worker["sessions"]["default"]["recycled_total"] >= 1
+        assert worker["live_decoders"] == 0
 
 
 class TestErrorHandling:
@@ -148,6 +153,74 @@ class TestErrorHandling:
         with pytest.raises(ServerBusy) as excinfo:
             client.create_session()
         assert excinfo.value.status == 429
+
+
+class TestSessionLifecycle:
+    """The gateway alone owns session ids, admission and expiry."""
+
+    def test_closed_session_is_404(self, client, tiny_dataset):
+        point = tiny_dataset.test[0].cellular.points[0]
+        session = client.create_session()
+        session.feed(point)
+        session.close()
+        with pytest.raises(ServeClientError) as excinfo:
+            client.feed_points(session.session_id, [point])
+        assert excinfo.value.status == 404
+        with pytest.raises(ServeClientError) as excinfo:
+            client.close_session(session.session_id)
+        assert excinfo.value.status == 404
+
+    def test_expired_sessions_are_swept(self, boot_gateway, tiny_dataset):
+        """Idle records leave the table on the control tick, unused or not."""
+        server = boot_gateway(session_ttl_s=0.3, max_sessions=2)
+        client = MatchingClient(server.host, server.port, timeout=60.0)
+        idle = [client.create_session() for _ in range(2)]
+        time.sleep(1.0)
+        assert client.health()["active_sessions"] == 0
+        metrics = client.metrics()
+        assert metrics["sessions"]["active"] == 0
+        assert metrics["counters"]["sessions_evicted_total"] == 2
+        point = tiny_dataset.test[0].cellular.points[0]
+        with pytest.raises(ServeClientError) as excinfo:
+            client.feed_points(idle[0].session_id, [point])
+        assert excinfo.value.status == 404
+        # Both slots are free again.
+        for _ in range(2):
+            client.create_session()
+
+    def test_sessions_survive_scale_up_then_down(
+        self, boot_gateway, trained_lhmm, tiny_dataset
+    ):
+        """Sessions that moved to an added worker replay back onto their
+        old worker when it retires, over the stale decoder left there."""
+        # The test scales by hand; the idle-tick budget keeps the
+        # autoscaler from retiring the added worker on its own.
+        server = boot_gateway(
+            num_workers=1, min_workers=1, max_workers=2, scale_down_idle_ticks=10**6
+        )
+        client = MatchingClient(server.host, server.port, timeout=60.0)
+        streams = []
+        long_enough = [s for s in tiny_dataset.samples if len(s.cellular) >= 4]
+        for sample in long_enough[:8]:
+            points = sample.cellular.points[:4]
+            session = client.create_session(lag=3)
+            session.feed(points[:2])
+            streams.append((session, points))
+        server._run_on_loop(server._scale_up())
+        for session, points in streams:
+            session.feed(points[2])
+
+        async def scale_down():
+            await server._scale_down(server._serving_handles())
+
+        server._run_on_loop(scale_down())
+        for session, points in streams:
+            session.feed(points[3])
+        for session, points in streams:
+            reference = OnlineLHMM(trained_lhmm, lag=3)
+            for point in points:
+                reference.add_point(point)
+            assert session.close() == reference.finish()
 
 
 def _raw_exchange(gateway, request: bytes) -> tuple[int, bytes]:
