@@ -462,12 +462,14 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile end-to-end matching: per-stage wall-clock + cProfile.
 
     The per-stage table reads the pipeline's own entry points out of the
-    cProfile run, so the times are *cumulative per stage* and nest:
-    ``trellis.run`` contains the transition scoring, which contains
-    routing.  The hotspot listing underneath is the flat view of the
-    same run.  All matching
-    caches are cleared first so the run reflects cold-cache behaviour —
-    the same convention as the perf smoke benchmarks.
+    cProfile run, so the times are *cumulative per stage* and may nest:
+    ``route_pairs`` (every step's candidate pairs, routed up front, plus
+    the pairs the shortcut pass scores inside ``trellis.run``) and
+    ``relevance`` (scope check and ``P(e|X)`` scoring of the roads those
+    routes touch) run mostly before the trellis.  The hotspot listing
+    underneath is the flat view of the same run.  All matching caches are
+    cleared first so the run reflects cold-cache behaviour — the same
+    convention as the perf smoke benchmarks.
     """
     import cProfile
     import io
@@ -479,6 +481,7 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     from repro.core.matcher import _LHMMScorer
     from repro.core.trellis import Trellis, VectorizedTrellis
     from repro.datasets import load_dataset, make_city_dataset, preset_config
+    from repro.network import router
 
     if args.dataset:
         dataset = load_dataset(args.dataset)
@@ -515,8 +518,8 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     trellis_cls = VectorizedTrellis if args.pipeline == "batched" else Trellis
     stages = [
         (LHMM, "prepare_candidates", "prepare_candidates"),
-        (LHMM, "_relevance_scope", "relevance_scope"),
-        (LHMM, "_segment_relevance", "segment_relevance"),
+        (router, "route_pairs", "route_pairs"),
+        (_LHMMScorer, "_score_relevance", "relevance"),
         (_LHMMScorer, "transition_batch", "transitions"),
         (trellis_cls, "run", "trellis.run"),
         (trellis_cls, "_apply_shortcuts", "shortcuts"),

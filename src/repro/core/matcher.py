@@ -27,7 +27,6 @@ from repro.core.candidates import CandidatePoolCache, learned_candidate_pool
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import LHMMConfig
 from repro.core.features import (
-    dense_relevance,
     observation_feature_matrix,
     transition_feature_rows,
     transition_features,
@@ -43,7 +42,7 @@ from repro.datasets.dataset import MatchingDataset, MatchingSample
 from repro.nn import StateDictMismatch, Tensor, no_grad
 from repro.nn.serialization import config_fingerprint, read_artifact, write_artifact
 from repro.network.router import Router, route_pairs
-from repro.network.shortest_path import stitch_segments
+from repro.network.shortest_path import Route, stitch_segments
 from repro.utils import derive_rng, ensure_rng
 
 
@@ -85,6 +84,12 @@ class _LHMMScorer:
     hooks and the batched :class:`~repro.core.trellis.BatchTrellisScorer`
     extension the vectorized trellis drives; both paths share the same
     per-step batched MLP call, so they return identical floats.
+
+    ``step_routes[i]`` holds the routes of step ``i``'s candidate product
+    (prev-major), routed once before the trellis runs.  Road relevance
+    ``P(e|X)`` lives in a dense per-trajectory array (0.5 by default) that
+    is scored once for the in-scope roads of those routes and topped up
+    for routes the shortcut pass adds later.
     """
 
     def __init__(
@@ -94,17 +99,58 @@ class _LHMMScorer:
         candidate_sets: list[list[int]],
         po_maps: list[dict[int, float]],
         context: np.ndarray,
-        relevance: dict[int, float] | None,
+        step_routes: dict[int, list[Route | None]],
+        tower_embeddings: Tensor | None,
     ) -> None:
         self._matcher = matcher
         self._points = points
+        self._positions = [p.position for p in points]
         self._candidate_sets = candidate_sets
         self._po = po_maps
         self._context = context
-        self._relevance = relevance  # segment id -> P(e|X), or None
-        self._relevance_dense: np.ndarray | None = None  # lazy dense gather view
+        self._step_routes = step_routes
+        self._towers = tower_embeddings  # None when implicit P_T is ablated
+        self._relevance: np.ndarray | None = None  # segment id -> P(e|X)
+        self._checked: set[int] = set()  # segments already scope-checked
         self._pt_cache: dict[tuple[int, int, int], float] = {}
         self._steps_done: set[int] = set()
+        if tower_embeddings is not None:
+            network = matcher.network
+            self._relevance = np.full(max(network.segments) + 1, 0.5)
+            self._score_relevance(
+                [route for routes in step_routes.values() for route in routes]
+            )
+
+    # -------------------------------------------------------------- relevance
+    def _score_relevance(self, routes: list[Route | None]) -> None:
+        """Score ``P(e|X)`` for the unchecked, in-scope roads of ``routes``.
+
+        A road is in scope when it lies within ``candidate_radius_m +
+        RELEVANCE_MARGIN_M`` of some trajectory point; a route road outside
+        it keeps the 0.5 default.  Roads checked before cost one set probe.
+        """
+        checked = self._checked
+        fresh = {
+            seg
+            for route in routes
+            if route is not None
+            for seg in route.segments
+            if seg not in checked
+        }
+        if not fresh:
+            return
+        checked.update(fresh)
+        matcher = self._matcher
+        ids = sorted(fresh)
+        in_scope = matcher.network.segments_within(
+            ids,
+            self._positions,
+            matcher.config.candidate_radius_m + matcher.RELEVANCE_MARGIN_M,
+        )
+        scored = [seg for seg, keep in zip(ids, in_scope.tolist()) if keep]
+        if scored:
+            assert self._relevance is not None and self._towers is not None
+            self._relevance[scored] = matcher._segment_relevance(self._towers, scored)
 
     # ------------------------------------------------------------ observation
     def observation(self, index: int, segment_id: int) -> float:
@@ -151,7 +197,7 @@ class _LHMMScorer:
             for a in self._candidate_sets[index - 1]
             for b in self._candidate_sets[index]
         ]
-        values = self._compute_transitions(index, pairs)
+        values = self._compute_transitions(index, pairs, self._step_routes[index])
         for pair, value in zip(pairs, values):
             self._pt_cache[(index, pair[0], pair[1])] = value
 
@@ -165,7 +211,13 @@ class _LHMMScorer:
         and therefore every probability — is bit-identical to it.
         """
         pairs = [(a, b) for a in prev_segment_ids for b in segment_ids]
-        values = self._compute_transitions(index, pairs)
+        routes = None
+        if (
+            prev_segment_ids == self._candidate_sets[index - 1]
+            and segment_ids == self._candidate_sets[index]
+        ):
+            routes = self._step_routes[index]
+        values = self._compute_transitions(index, pairs, routes)
         for pair, value in zip(pairs, values):
             self._pt_cache[(index, pair[0], pair[1])] = value
         self._steps_done.add(index)
@@ -174,29 +226,29 @@ class _LHMMScorer:
         )
 
     def _compute_transitions(
-        self, index: int, pairs: list[tuple[int, int]]
+        self,
+        index: int,
+        pairs: list[tuple[int, int]],
+        routes: list[Route | None] | None = None,
     ) -> list[float]:
         matcher = self._matcher
         rows: list[np.ndarray] = []
         row_positions: list[int] = []
         values = [UNREACHABLE_SCORE] * len(pairs)
-        # One batched multi-source query answers the whole trellis step.
-        routes = route_pairs(matcher.engine, pairs)
+        if routes is None:
+            # Pairs outside the routed candidate products (shortcut
+            # insertions): one batched query, then top up their relevance.
+            routes = route_pairs(matcher.engine, pairs)
+            if self._relevance is not None:
+                self._score_relevance(routes)
+        relevance = self._relevance
         if matcher.config.pipeline_impl == "batched":
-            dense = None
-            if matcher.transition_learner.use_implicit:
-                assert self._relevance is not None
-                if self._relevance_dense is None:
-                    self._relevance_dense = dense_relevance(
-                        matcher.network, self._relevance
-                    )
-                dense = self._relevance_dense
             row_matrix, batched_positions = transition_feature_rows(
                 matcher.network,
                 routes,
                 self._points[index - 1],
                 self._points[index],
-                relevance_dense=dense,
+                relevance_dense=relevance,
             )
             if row_matrix.shape[0]:
                 with no_grad():
@@ -215,11 +267,8 @@ class _LHMMScorer:
             explicit = transition_features(
                 matcher.network, route, self._points[index - 1], self._points[index]
             )
-            if matcher.transition_learner.use_implicit:
-                assert self._relevance is not None
-                implicit = float(
-                    np.mean([self._relevance.get(s, 0.5) for s in route.segments])
-                )
+            if relevance is not None:
+                implicit = float(np.mean([relevance[s] for s in route.segments]))
                 rows.append(np.concatenate([[implicit], explicit]))
             else:
                 rows.append(explicit)
@@ -379,6 +428,11 @@ class LHMM:
     #: rejected as out-of-bounds (covers towers ringing the served area).
     BOUNDS_MARGIN_M = 10_000.0
 
+    #: How far beyond ``candidate_radius_m`` of some trajectory point a
+    #: transition route's road may lie and still get a learned ``P(e|X)``
+    #: (farther roads read 0.5).
+    RELEVANCE_MARGIN_M = 1500.0
+
     def validate_trajectory(
         self, trajectory: Trajectory, context: str = "trajectory"
     ) -> None:
@@ -448,56 +502,34 @@ class LHMM:
 
     def _segment_relevance(
         self, tower_embeddings: Tensor, segment_ids: list[int]
-    ) -> dict[int, float]:
-        """``P(e | X)`` (Eq. 10) for the given road segments.
+    ) -> np.ndarray:
+        """``P(e | X)`` (Eq. 10) for the given road segments, aligned.
 
-        Restricted to the roads transitions can actually touch (everything
-        near the trajectory) rather than the whole network — identical
-        results, far less attention work.
+        Rows go through the attention + MLP forward in blocks of at most
+        512, each zero-padded to a multiple of 8 rows (the padding is
+        dropped from the output).  Without the padding a row's float
+        depends on how many rows share its call — BLAS takes other kernels
+        for ragged row counts — so a segment would score differently when
+        scored up front, topped up alone, or by the streaming decoder.
         """
         assert self.graph is not None and self.transition_learner is not None
         assert self.node_embeddings is not None
         if not segment_ids:
-            return {}
+            return np.empty(0, dtype=np.float64)
         rows = self.node_embeddings[self.graph.segment_nodes(segment_ids)]
-        values: list[float] = []
+        values = np.empty(rows.shape[0], dtype=np.float64)
         with no_grad():
             for start in range(0, rows.shape[0], 512):
-                block = Tensor(rows[start : start + 512])
+                block = rows[start : start + 512]
+                size = block.shape[0]
+                pad = -size % 8
+                if pad:
+                    block = np.concatenate([block, np.zeros((pad, block.shape[1]))])
                 logits = self.transition_learner.road_relevance_logits(
-                    block, tower_embeddings
+                    Tensor(block), tower_embeddings
                 )
-                values.extend(logits.sigmoid().numpy().tolist())
-        return dict(zip(segment_ids, values))
-
-    def _relevance_scope(self, trajectory: Trajectory) -> list[int]:
-        """Segments any transition route of this trajectory could traverse."""
-        radius = self.config.candidate_radius_m + 1500.0
-        if self.config.pipeline_impl == "batched":
-            near_lists = self.network.segments_near_many(
-                [p.position for p in trajectory.points], radius
-            )
-            if not near_lists:
-                return []
-            flat = np.concatenate(
-                [np.asarray(near, dtype=np.int64) for near in near_lists]
-            )
-            # First-occurrence dedupe, identical to the scalar loop below.
-            _, first = np.unique(flat, return_index=True)
-            first.sort()
-            return [int(s) for s in flat[first]]
-        near_lists = [
-            self.network.segments_near(p.position, radius)
-            for p in trajectory.points
-        ]
-        scope: list[int] = []
-        seen: set[int] = set()
-        for near in near_lists:
-            for seg in near:
-                if seg not in seen:
-                    seen.add(seg)
-                    scope.append(seg)
-        return scope
+                values[start : start + size] = logits.sigmoid().numpy()[:size]
+        return values
 
     def _tower_nodes_for(self, points: list[TrajectoryPoint]) -> np.ndarray:
         """Graph node index of the interacting tower, per trajectory point."""
@@ -648,14 +680,22 @@ class LHMM:
             best = max(po_maps[0], key=po_maps[0].get)  # type: ignore[arg-type]
             return MatchResult([best], [best], [list(candidate_sets[0])], po_maps[0][best])
 
-        relevance = None
+        # Route every step's candidate product first: the scorer reads road
+        # relevance only through these routes (Eq. 11), so it scores P(e|X)
+        # once, for exactly the roads they touch.
+        step_routes = {
+            i: route_pairs(
+                self.engine,
+                [(a, b) for a in candidate_sets[i - 1] for b in candidate_sets[i]],
+            )
+            for i in range(1, len(points))
+        }
+        towers = None
         if self.transition_learner.use_implicit:
-            with no_grad():
-                relevance = self._segment_relevance(
-                    Tensor(self.node_embeddings[tower_nodes]),  # type: ignore[index]
-                    self._relevance_scope(trajectory),
-                )
-        scorer = _LHMMScorer(self, points, candidate_sets, po_maps, context, relevance)
+            towers = Tensor(self.node_embeddings[tower_nodes])  # type: ignore[index]
+        scorer = _LHMMScorer(
+            self, points, candidate_sets, po_maps, context, step_routes, towers
+        )
         trellis = make_trellis(
             candidate_sets,
             scorer,

@@ -75,10 +75,11 @@ class OnlineLHMM:
         window = self._points[-self.context_window :]
         nodes = np.array([matcher._tower_node_for(p) for p in window])
         with no_grad():
-            return matcher._segment_relevance(
+            values = matcher._segment_relevance(
                 Tensor(matcher.node_embeddings[nodes]),  # type: ignore[index]
                 segment_ids,
             )
+        return dict(zip(segment_ids, values.tolist()))
 
     def _transition_for_route(self, relevance, route, prev_point, point) -> float:
         matcher = self.matcher
@@ -124,11 +125,12 @@ class OnlineLHMM:
 
     # ------------------------------------------------------------- interface
     def add_point(self, point: TrajectoryPoint) -> None:
-        """Feed the next cellular sample."""
+        """Feed the next cellular sample.
+
+        A point with no candidate road raises before the decoder changes.
+        """
         matcher = self.matcher
         cfg = matcher.config
-        self._points.append(point)
-        context = self._context_vector()
         if cfg.pipeline_impl == "batched":
             # The matcher's per-tower pool cache answers repeat towers in
             # O(1); a miss runs the stacked spatial kernel. Same pool as
@@ -142,6 +144,8 @@ class OnlineLHMM:
                 cfg.candidate_pool,
                 include_cooccurrence=cfg.extend_pool_with_cooccurrence,
             )
+        self._points.append(point)
+        context = self._context_vector()
         scores = matcher._score_observations(point, pool, context)
         order = np.argsort(-scores)
         candidates = [pool[int(j)] for j in order[: cfg.candidate_k]]

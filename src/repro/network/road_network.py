@@ -574,6 +574,43 @@ class RoadNetwork:
                     memo[(uniq_points[u].x, uniq_points[u].y, radius)] = refined
         return [list(results[u]) for u in point_to_unique]  # type: ignore[arg-type]
 
+    #: Distance-matrix elements per pass of :meth:`segments_within`.
+    WITHIN_CHUNK = 1 << 16
+
+    def segments_within(
+        self, segment_ids: Sequence[int], points: Sequence[Point], radius: float
+    ) -> np.ndarray:
+        """Which of ``segment_ids`` lie within ``radius`` of any of ``points``.
+
+        Returns a boolean mask aligned with ``segment_ids``: entry ``i`` is
+        true exactly when ``segment_ids[i]`` is in the union of
+        :meth:`segments_near` ``(p, radius)`` over ``points``.  The
+        distances are the same clamped-projection floats the near queries
+        compare (the grid pre-filter they run first never drops a segment
+        within ``radius``), computed as one matrix over the unique query
+        positions and the listed segments' sub-segments.
+        """
+        self._require_index()
+        assert self._sub_geometry is not None
+        n = len(segment_ids)
+        unique = list(dict.fromkeys((p.x, p.y) for p in points))
+        if n == 0 or not unique:
+            return np.zeros(n, dtype=bool)
+        xy = np.array(unique, dtype=np.float64)
+        starts, counts = self._segment_spans(segment_ids)
+        sub = self._sub_geometry[_ragged_ranges(starts, counts)]
+        best = np.full(sub.shape[0], np.inf)
+        step = max(1, self.WITHIN_CHUNK // sub.shape[0])
+        for lo in range(0, xy.shape[0], step):
+            rel_x = xy[lo : lo + step, 0:1] - sub[:, 0]
+            rel_y = xy[lo : lo + step, 1:2] - sub[:, 1]
+            t = np.clip((rel_x * sub[:, 2] + rel_y * sub[:, 3]) / sub[:, 4], 0.0, 1.0)
+            dist_sq = (rel_x - t * sub[:, 2]) ** 2 + (rel_y - t * sub[:, 3]) ** 2
+            np.minimum(best, dist_sq.min(axis=0), out=best)
+        offsets = np.zeros(n, dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        return np.sqrt(np.minimum.reduceat(best, offsets)) <= radius
+
     def nearest_segments_many(
         self, points: Sequence[Point], count: int = 1, max_radius: float = 8000.0
     ) -> list[list[int]]:

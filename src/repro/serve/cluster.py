@@ -564,8 +564,15 @@ class _WorkerRuntime:
         points = protocol.decode_points(message.get("points"), "points")
         key, decoder = self._decoder(message)
         self._decoders[key] = (decoder, time.monotonic())
-        for point in points:
-            decoder.add_point(point)
+        try:
+            for point in points:
+                decoder.add_point(point)
+        except BaseException:
+            # A feed is all-or-nothing: the gateway journals none of a
+            # rejected feed, so the half-fed decoder goes, and the next op
+            # answers unknown_session and is rebuilt from the journal.
+            del self._decoders[key]
+            raise
         return {
             "state": {
                 "committed": decoder.committed_path,

@@ -416,6 +416,7 @@ class TestProfile:
         assert payload["total_s"] > 0
         assert "trellis.run" in payload["stages_s"]
         assert "transitions" in payload["stages_s"]
+        assert "relevance" in payload["stages_s"]
 
     def test_scalar_pipeline_uses_reference_trellis(self, dataset_file, capsys):
         code = main(

@@ -15,6 +15,8 @@ import pytest
 
 from repro.core import OnlineLHMM
 from repro.core.config import PIPELINE_IMPLS
+from repro.core.matcher import _LHMMScorer
+from repro.nn import Tensor
 
 
 def _reset_caches(matcher) -> None:
@@ -106,3 +108,105 @@ def test_streaming_parity_across_pipelines(trained_lhmm, parity_cases):
             finally:
                 trained_lhmm.config.pipeline_impl = saved
         assert commits["batched"] == commits["scalar"]
+
+
+# ---------------------------------------------------------------------------
+# Route-driven road relevance: P(e|X) is scored for the in-scope roads of
+# the routes the trellis touches — up front for every step's candidate
+# product, lazily for routes the shortcut pass adds.  Each combination of
+# pipeline and trellis must decode exactly like the scalar/reference pair,
+# and every road it checked must read what scoring the whole scope up front
+# (every road near the trajectory) gives, or 0.5 outside it.
+
+COMBOS = [
+    (pipeline_impl, trellis_impl)
+    for pipeline_impl in PIPELINE_IMPLS
+    for trellis_impl in ("reference", "vectorized")
+]
+
+
+def _capture_scorers(monkeypatch) -> list[tuple[_LHMMScorer, set[int]]]:
+    """Record each scorer the matcher builds with the roads it checked up front."""
+    built = []
+    original = _LHMMScorer.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        built.append((self, set(self._checked)))
+
+    monkeypatch.setattr(_LHMMScorer, "__init__", spy)
+    return built
+
+
+def _eager_relevance(matcher, trajectory) -> dict[int, float]:
+    """``P(e|X)`` of every road near the trajectory, scored in one call."""
+    radius = matcher.config.candidate_radius_m + matcher.RELEVANCE_MARGIN_M
+    scope = sorted(
+        {s for p in trajectory.points for s in matcher.network.segments_near(p.position, radius)}
+    )
+    towers = Tensor(matcher.node_embeddings[matcher._tower_nodes_for(trajectory.points)])
+    return dict(zip(scope, matcher._segment_relevance(towers, scope).tolist()))
+
+
+def _assert_relevance_matches_eager(scorer, eager) -> None:
+    for seg in scorer._checked:
+        assert scorer._relevance[seg] == eager.get(seg, 0.5)
+
+
+def _assert_same_decode(got, ref) -> None:
+    assert got.path == ref.path
+    assert got.matched_sequence == ref.matched_sequence
+    assert got.candidate_sets == ref.candidate_sets
+    assert got.score == ref.score
+
+
+@pytest.fixture(scope="module")
+def topped_up_case(trained_lhmm, tiny_dataset):
+    """A trajectory whose shortcut pass reaches in-scope roads that no
+    candidate-product route touched (so relevance is topped up lazily)."""
+    with pytest.MonkeyPatch.context() as patch:
+        built = _capture_scorers(patch)
+        for sample in tiny_dataset.samples:
+            built.clear()
+            trained_lhmm.match(sample.cellular)
+            eager = _eager_relevance(trained_lhmm, sample.cellular)
+            for scorer, up_front in built:
+                if any(seg in eager for seg in scorer._checked - up_front):
+                    return sample.cellular
+    pytest.fail("no tiny-dataset trajectory tops relevance up")
+
+
+@pytest.mark.parametrize("pipeline_impl,trellis_impl", COMBOS)
+def test_shortcut_routes_top_up_relevance(
+    trained_lhmm, topped_up_case, monkeypatch, pipeline_impl, trellis_impl
+):
+    (ref,) = _match_all(trained_lhmm, [topped_up_case], "scalar", "reference")
+    built = _capture_scorers(monkeypatch)
+    (got,) = _match_all(trained_lhmm, [topped_up_case], pipeline_impl, trellis_impl)
+    _assert_same_decode(got, ref)
+    [(scorer, up_front)] = built
+    eager = _eager_relevance(trained_lhmm, topped_up_case)
+    assert any(seg in eager for seg in scorer._checked - up_front)
+    _assert_relevance_matches_eager(scorer, eager)
+
+
+@pytest.mark.parametrize("pipeline_impl,trellis_impl", COMBOS)
+def test_route_roads_outside_scope_read_one_half(
+    trained_lhmm, parity_cases, monkeypatch, pipeline_impl, trellis_impl
+):
+    """Shrink the scope to 150 m around the points: many route roads fall
+    outside it and must keep the 0.5 default."""
+    monkeypatch.setattr(
+        trained_lhmm, "RELEVANCE_MARGIN_M", 150.0 - trained_lhmm.config.candidate_radius_m
+    )
+    cases = parity_cases[:4]
+    reference = _match_all(trained_lhmm, cases, "scalar", "reference")
+    built = _capture_scorers(monkeypatch)
+    results = _match_all(trained_lhmm, cases, pipeline_impl, trellis_impl)
+    outside = 0
+    for trajectory, got, ref, (scorer, _) in zip(cases, results, reference, built):
+        _assert_same_decode(got, ref)
+        eager = _eager_relevance(trained_lhmm, trajectory)
+        _assert_relevance_matches_eager(scorer, eager)
+        outside += sum(seg not in eager for seg in scorer._checked)
+    assert outside > 0

@@ -14,7 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.cellular.trajectory import TrajectoryPoint
 from repro.core import OnlineLHMM
+from repro.geometry import Point
 from repro.serve import MatchingClient, ServeClientError, ServerBusy, cluster, protocol
 
 
@@ -187,6 +189,32 @@ class TestSessionLifecycle:
         # Both slots are free again.
         for _ in range(2):
             client.create_session()
+
+    def test_rejected_feed_changes_nothing(self, boot_gateway, trained_lhmm, tiny_dataset):
+        """A feed rejected half-way — a good point, then one with no road
+        near it — is all-or-nothing: the stream afterwards equals a direct
+        decoder over the journaled points only."""
+        server = boot_gateway()
+        client = MatchingClient(server.host, server.port, timeout=60.0)
+        sample = next(s for s in tiny_dataset.test if len(s.cellular) >= 4)
+        points = sample.cellular.points
+        _, _, max_x, max_y = tiny_dataset.network.bounding_box()
+        far = TrajectoryPoint(
+            Point(max_x + 9000.0, max_y + 9000.0), points[2].timestamp + 1.0
+        )
+        session = client.create_session(lag=3)
+        client.feed_points(session.session_id, points[:2])
+        with pytest.raises(ServeClientError) as excinfo:
+            client.feed_points(session.session_id, [points[2], far])
+        assert excinfo.value.status == 422
+        state = client.feed_points(session.session_id, [points[3]])
+        reference = OnlineLHMM(trained_lhmm, lag=3)
+        for point in (points[0], points[1], points[3]):
+            reference.add_point(point)
+        assert state["committed"] == reference.committed_path
+        assert state["pending"] == reference.pending_points()
+        assert state["points"] == 3
+        assert session.close() == reference.finish()
 
     def test_sessions_survive_scale_up_then_down(
         self, boot_gateway, trained_lhmm, tiny_dataset
