@@ -77,13 +77,48 @@ class MatchResult:
         return self.provenance != "lhmm"
 
 
+#: Inference forwards run in blocks of at most this many rows ...
+_BLOCK_ROWS = 512
+#: ... each zero-padded to a multiple of this many rows.
+_ROW_ALIGN = 8
+
+
+def _rowwise_forward(forward, *rows: np.ndarray) -> np.ndarray:
+    """One value per row from a row-wise inference forward, batch-invariantly.
+
+    ``forward(*blocks)`` maps aligned row blocks of ``rows`` to a tensor of
+    one value per row.  Rows go through in blocks of at most 512, each
+    zero-padded to a multiple of 8 rows (the padding is dropped from the
+    output).  Without the padding a row's float depends on how many rows
+    share its call — BLAS takes other kernels for ragged row counts — so a
+    road, candidate or transition would score differently in a per-step
+    batch, alone, or in the streaming decoder.  Every row-wise inference
+    forward (relevance, observation, transition fusion) goes through here;
+    training does not.
+    """
+    n = rows[0].shape[0]
+    values = np.empty(n, dtype=np.float64)
+    with no_grad():
+        for start in range(0, n, _BLOCK_ROWS):
+            blocks = [r[start : start + _BLOCK_ROWS] for r in rows]
+            size = blocks[0].shape[0]
+            pad = -size % _ROW_ALIGN
+            if pad:
+                blocks = [
+                    np.concatenate([b, np.zeros((pad, *b.shape[1:]))]) for b in blocks
+                ]
+            values[start : start + size] = forward(*blocks).numpy()[:size]
+    return values
+
+
 class _LHMMScorer:
     """Trellis scorer backed by the trained learners (batched, cached).
 
     Implements both the scalar :class:`~repro.core.trellis.TrellisScorer`
     hooks and the batched :class:`~repro.core.trellis.BatchTrellisScorer`
-    extension the vectorized trellis drives; both paths share the same
-    per-step batched MLP call, so they return identical floats.
+    extension the vectorized trellis drives, including its optional
+    ``transition_pairs`` hook for the shortcut pass.  Every fusion forward
+    is batch-invariant, so all paths return identical floats.
 
     ``step_routes[i]`` holds the routes of step ``i``'s candidate product
     (prev-major), routed once before the trellis runs.  Road relevance
@@ -225,6 +260,24 @@ class _LHMMScorer:
             len(prev_segment_ids), len(segment_ids)
         )
 
+    def transition_pairs(
+        self, index: int, pairs: list[tuple[int, int]]
+    ) -> np.ndarray:
+        """``P_T`` for arbitrary pairs of one step, uncached ones in one call.
+
+        The shortcut pass asks for every pair a layer will read at once;
+        the floats equal one-pair :meth:`transition` calls because the
+        fusion forward is batch-invariant.
+        """
+        cache = self._pt_cache
+        fresh = list(
+            dict.fromkeys(pair for pair in pairs if (index, *pair) not in cache)
+        )
+        if fresh:
+            for pair, value in zip(fresh, self._compute_transitions(index, fresh)):
+                cache[(index, pair[0], pair[1])] = value
+        return np.array([cache[(index, a, b)] for a, b in pairs], dtype=np.float64)
+
     def _compute_transitions(
         self,
         index: int,
@@ -232,8 +285,6 @@ class _LHMMScorer:
         routes: list[Route | None] | None = None,
     ) -> list[float]:
         matcher = self._matcher
-        rows: list[np.ndarray] = []
-        row_positions: list[int] = []
         values = [UNREACHABLE_SCORE] * len(pairs)
         if routes is None:
             # Pairs outside the routed candidate products (shortcut
@@ -243,46 +294,33 @@ class _LHMMScorer:
                 self._score_relevance(routes)
         relevance = self._relevance
         if matcher.config.pipeline_impl == "batched":
-            row_matrix, batched_positions = transition_feature_rows(
+            row_matrix, row_positions = transition_feature_rows(
                 matcher.network,
                 routes,
                 self._points[index - 1],
                 self._points[index],
                 relevance_dense=relevance,
             )
-            if row_matrix.shape[0]:
-                with no_grad():
-                    probs = (
-                        matcher.transition_learner.fusion_mlp(Tensor(row_matrix))
-                        .reshape(row_matrix.shape[0])
-                        .sigmoid()
-                        .numpy()
-                    )
-                for pos, prob in zip(batched_positions, probs):
-                    values[pos] = float(prob)
-            return values
-        for pos, route in enumerate(routes):
-            if route is None:
-                continue
-            explicit = transition_features(
-                matcher.network, route, self._points[index - 1], self._points[index]
-            )
-            if relevance is not None:
-                implicit = float(np.mean([relevance[s] for s in route.segments]))
-                rows.append(np.concatenate([[implicit], explicit]))
-            else:
-                rows.append(explicit)
-            row_positions.append(pos)
-        if rows:
-            with no_grad():
-                probs = (
-                    matcher.transition_learner.fusion_mlp(Tensor(np.stack(rows)))
-                    .reshape(len(rows))
-                    .sigmoid()
-                    .numpy()
+        else:
+            rows: list[np.ndarray] = []
+            row_positions = []
+            for pos, route in enumerate(routes):
+                if route is None:
+                    continue
+                explicit = transition_features(
+                    matcher.network, route, self._points[index - 1], self._points[index]
                 )
-            for pos, prob in zip(row_positions, probs):
-                values[pos] = float(prob)
+                if relevance is not None:
+                    implicit = float(np.mean([relevance[s] for s in route.segments]))
+                    rows.append(np.concatenate([[implicit], explicit]))
+                else:
+                    rows.append(explicit)
+                row_positions.append(pos)
+            row_matrix = np.stack(rows) if rows else np.empty((0, 0))
+        if row_matrix.shape[0]:
+            probs = matcher._transition_probs(row_matrix)
+            for pos, prob in zip(row_positions, probs.tolist()):
+                values[pos] = prob
         return values
 
 
@@ -483,53 +521,60 @@ class LHMM:
         segment_ids: list[int],
         context_vector: np.ndarray,
     ) -> np.ndarray:
-        """Batched learned ``P_O`` for one point over ``segment_ids``."""
-        assert self.graph is not None and self.observation_learner is not None
-        assert self.node_embeddings is not None
+        """Learned ``P_O`` for one point over ``segment_ids``."""
+        assert self.graph is not None
         explicit = observation_feature_matrix(
             self.graph, point, segment_ids, include_ranks=self.config.use_rank_features
         )
-        with no_grad():
-            implicit = None
-            if self.observation_learner.use_implicit:
-                embeddings = Tensor(
-                    self.node_embeddings[self.graph.segment_nodes(segment_ids)]
-                )
-                implicit = self.observation_learner.implicit_logits(
-                    embeddings, Tensor(context_vector)
-                ).sigmoid()
-            return self.observation_learner.fuse(implicit, explicit).numpy()
+        return self._observation_probs(
+            explicit,
+            self.graph.segment_nodes(segment_ids),
+            np.repeat(context_vector[np.newaxis, :], len(segment_ids), axis=0),
+        )
+
+    def _observation_probs(
+        self, explicit: np.ndarray, node_idx: np.ndarray, context_rows: np.ndarray
+    ) -> np.ndarray:
+        """``P_O`` (Eq. 7 + 8) per row: road node, context row, explicit row."""
+        assert self.observation_learner is not None
+        assert self.node_embeddings is not None
+        learner = self.observation_learner
+        if not learner.use_implicit:
+            return _rowwise_forward(lambda x: learner.fuse(None, x), explicit)
+
+        def forward(x: np.ndarray, roads: np.ndarray, context: np.ndarray) -> Tensor:
+            implicit = learner.implicit_logits(Tensor(roads), Tensor(context))
+            return learner.fuse(implicit.sigmoid(), x)
+
+        roads = np.take(self.node_embeddings, node_idx, axis=0)
+        return _rowwise_forward(forward, explicit, roads, context_rows)
+
+    def _transition_probs(self, rows: np.ndarray) -> np.ndarray:
+        """``P_T`` (Eq. 12) per stacked transition feature row."""
+        assert self.transition_learner is not None
+        fusion = self.transition_learner.fusion_mlp
+        return _rowwise_forward(
+            lambda x: fusion(Tensor(x)).reshape(x.shape[0]).sigmoid(), rows
+        )
 
     def _segment_relevance(
         self, tower_embeddings: Tensor, segment_ids: list[int]
     ) -> np.ndarray:
         """``P(e | X)`` (Eq. 10) for the given road segments, aligned.
 
-        Rows go through the attention + MLP forward in blocks of at most
-        512, each zero-padded to a multiple of 8 rows (the padding is
-        dropped from the output).  Without the padding a row's float
-        depends on how many rows share its call — BLAS takes other kernels
-        for ragged row counts — so a segment would score differently when
-        scored up front, topped up alone, or by the streaming decoder.
+        Batch-invariant (:func:`_rowwise_forward`): a segment scores the
+        same whether scored up front, topped up alone, or by the streaming
+        decoder.
         """
         assert self.graph is not None and self.transition_learner is not None
         assert self.node_embeddings is not None
         if not segment_ids:
             return np.empty(0, dtype=np.float64)
-        rows = self.node_embeddings[self.graph.segment_nodes(segment_ids)]
-        values = np.empty(rows.shape[0], dtype=np.float64)
-        with no_grad():
-            for start in range(0, rows.shape[0], 512):
-                block = rows[start : start + 512]
-                size = block.shape[0]
-                pad = -size % 8
-                if pad:
-                    block = np.concatenate([block, np.zeros((pad, block.shape[1]))])
-                logits = self.transition_learner.road_relevance_logits(
-                    Tensor(block), tower_embeddings
-                )
-                values[start : start + size] = logits.sigmoid().numpy()[:size]
-        return values
+        learner = self.transition_learner
+        return _rowwise_forward(
+            lambda x: learner.road_relevance_logits(Tensor(x), tower_embeddings).sigmoid(),
+            self.node_embeddings[self.graph.segment_nodes(segment_ids)],
+        )
 
     def _tower_nodes_for(self, points: list[TrajectoryPoint]) -> np.ndarray:
         """Graph node index of the interacting tower, per trajectory point."""
@@ -564,24 +609,19 @@ class LHMM:
         Candidate pools come from the per-tower cache (cold misses resolved
         through the stacked spatial kernel), explicit features from the
         ragged-stacked builder, and the implicit correlation + fusion MLPs
-        run once over all (point, candidate) pairs — embeddings and context
-        rows gathered with single ``np.take``/``np.repeat`` calls instead
-        of one forward per point.
+        run over all (point, candidate) pairs at once — context rows
+        repeated per candidate instead of one forward per point.  The
+        forward is batch-invariant, so every candidate scores exactly as
+        the per-point :meth:`_score_observations` scores it.
         """
-        assert self.graph is not None and self.observation_learner is not None
-        assert self.node_embeddings is not None
+        assert self.graph is not None
         cfg = self.config
         pools, explicit, counts, node_idx = self._pool_cache().pools_features(
             points, include_ranks=cfg.use_rank_features
         )
-        learner = self.observation_learner
-        with no_grad():
-            implicit = None
-            if learner.use_implicit:
-                embeddings = Tensor(np.take(self.node_embeddings, node_idx, axis=0))
-                context_rows = Tensor(np.repeat(context, counts, axis=0))
-                implicit = learner.implicit_logits(embeddings, context_rows).sigmoid()
-            scores = learner.fuse(implicit, explicit).numpy()
+        scores = self._observation_probs(
+            explicit, node_idx, np.repeat(context, counts, axis=0)
+        )
         candidate_sets: list[list[int]] = []
         po_maps: list[dict[int, float]] = []
         offset = 0

@@ -74,11 +74,10 @@ class OnlineLHMM:
             return {}
         window = self._points[-self.context_window :]
         nodes = np.array([matcher._tower_node_for(p) for p in window])
-        with no_grad():
-            values = matcher._segment_relevance(
-                Tensor(matcher.node_embeddings[nodes]),  # type: ignore[index]
-                segment_ids,
-            )
+        values = matcher._segment_relevance(
+            Tensor(matcher.node_embeddings[nodes]),  # type: ignore[index]
+            segment_ids,
+        )
         return dict(zip(segment_ids, values.tolist()))
 
     def _transition_for_route(self, relevance, route, prev_point, point) -> float:
@@ -93,13 +92,7 @@ class OnlineLHMM:
             row = np.concatenate([[implicit], explicit])
         else:
             row = explicit
-        with no_grad():
-            return float(
-                matcher.transition_learner.fusion_mlp(Tensor(row.reshape(1, -1)))
-                .reshape(1)
-                .sigmoid()
-                .numpy()[0]
-            )
+        return float(matcher._transition_probs(row.reshape(1, -1))[0])
 
     def _backtrack_step(self, i: int, current: int) -> int:
         """One backward step; on a disconnected lattice restart from the
@@ -246,14 +239,7 @@ class OnlineLHMM:
             )
         trans = np.full(len(pairs), UNREACHABLE_SCORE)
         if row_matrix.shape[0]:
-            with no_grad():
-                probs = (
-                    matcher.transition_learner.fusion_mlp(Tensor(row_matrix))
-                    .reshape(row_matrix.shape[0])
-                    .sigmoid()
-                    .numpy()
-                )
-            trans[row_positions] = probs
+            trans[row_positions] = matcher._transition_probs(row_matrix)
         trans = trans.reshape(len(prev_layer), len(candidates))
         po_row = np.array([po[seg] for seg in candidates], dtype=np.float64)
         w = np.where(

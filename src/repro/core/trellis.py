@@ -18,8 +18,9 @@ Two interchangeable backends implement the forward pass:
   against;
 * :class:`VectorizedTrellis` — assembles each step's ``W`` as a numpy
   matrix (one batched router/MLP call per layer when the scorer supports
-  :class:`BatchTrellisScorer`) and runs the forward pass as log-domain
-  max-plus updates with integer backpointers.
+  :class:`BatchTrellisScorer`), runs the forward pass as log-domain
+  max-plus updates with integer backpointers, and runs the shortcut pass
+  one layer at a time in batched phases.
 
 Both must decode the *same* sequence with the same tie-breaking (first
 candidate in set order wins ties) and the same disconnected-lattice restart
@@ -43,8 +44,9 @@ import numpy as np
 
 from repro.cellular.trajectory import TrajectoryPoint
 from repro.errors import InvalidTrajectoryInput, MatchFailure
+from repro.geometry import Point
 from repro.network.road_network import RoadNetwork
-from repro.network.router import Router
+from repro.network.router import Router, route_pairs
 
 UNREACHABLE_SCORE = -1e6
 
@@ -79,6 +81,13 @@ class BatchTrellisScorer(Protocol):
     Implementations must return exactly the floats the scalar callbacks
     would — the vectorized backend's bit-parity with the reference depends
     on it (batch the *fetching*, keep the arithmetic identical).
+
+    A scorer may also define ``transition_pairs(index, pairs)``: ``P_T``
+    for arbitrary ``(prev, cur)`` pairs of step ``index``, aligned with
+    ``pairs``.  The shortcut pass then scores each layer's off-lattice
+    transitions in one call per step instead of one call per pair.  It is
+    optional (not part of the runtime check), and bound by the same
+    contract: the floats of one-pair :meth:`TrellisScorer.transition` calls.
     """
 
     def observation_batch(self, index: int, segment_ids: list[int]) -> np.ndarray:
@@ -90,6 +99,30 @@ class BatchTrellisScorer(Protocol):
     ) -> np.ndarray:
         """``P_T`` matrix of shape ``(|prev|, |cur|)`` for one step."""
         ...
+
+
+def closest_segments(
+    network: RoadNetwork, position: Point, routes: list[tuple[int, ...]]
+) -> list[int]:
+    """Alg. 2 line 5 for many routes: each route's segment closest to ``position``.
+
+    One stacked :meth:`RoadNetwork.point_segment_distances` pass over every
+    route's segments.  Those are the exact scalar ``distance_to`` floats,
+    and ties keep the first minimum in route order, so each winner is the
+    reference's ``min(route, key=distance_to)``.  Routes must be non-empty.
+    """
+    lengths = [len(route) for route in routes]
+    flat = [seg for route in routes for seg in route]
+    n = len(flat)
+    distances = network.point_segment_distances(
+        np.full(n, position.x), np.full(n, position.y), flat
+    )
+    owner = np.repeat(np.arange(len(routes)), lengths)
+    # Sort by route, then distance, then position in the route: each
+    # route's first entry is its first minimum.
+    order = np.lexsort((np.arange(n), distances, owner))
+    starts = np.cumsum([0, *lengths[:-1]])
+    return [flat[k] for k in order[starts].tolist()]
 
 
 class Trellis:
@@ -253,24 +286,27 @@ class VectorizedTrellis(Trellis):
     Decoding is bit-identical to :class:`Trellis`: ``W`` entries are the
     same floats, ``argmax`` keeps the reference's first-wins tie-breaking,
     all-unreachable columns leave no backpointer (the disconnected-lattice
-    restart), and the shortcut pass ranks two-step predecessors directly
-    off the retained per-step ``W`` matrices (one broadcast max instead of
-    a triple Python loop), falling back to scalar ``W`` lookups only for
-    candidates the shortcut pass itself inserted after the forward pass.
+    restart), and the shortcut pass (:meth:`_apply_shortcuts`) batches its
+    fetching per layer but applies shortcuts in the reference's order.
     """
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        # A runtime Protocol check is slow; the scorer never changes.
+        self._batched = isinstance(self.scorer, BatchTrellisScorer)
         self._capture_w = False
         # step index -> (prev seg -> row, cur seg -> col, W matrix), the
         # forward pass's own matrices retained for the shortcut pass.
         self._w_steps: dict[
             int, tuple[dict[int, int], dict[int, int], np.ndarray]
         ] = {}
+        # (step, prev seg, seg) -> P_T fetched ahead by the shortcut pass.
+        self._prefetched: dict[tuple[int, int, int], float] = {}
 
     def _w(self, index: int, prev_segment: int, segment: int) -> float:
         """Step score served from the retained forward matrices when possible."""
-        cached = self._w_cache.get((index, prev_segment, segment))
+        key = (index, prev_segment, segment)
+        cached = self._w_cache.get(key)
         if cached is not None:
             return cached
         step = self._w_steps.get(index)
@@ -280,36 +316,42 @@ class VectorizedTrellis(Trellis):
             k = cur_pos.get(segment)
             if j is not None and k is not None:
                 return float(w[j, k])
-        return super()._w(index, prev_segment, segment)
+        trans = self._prefetched.get(key)
+        if trans is None:
+            return super()._w(index, prev_segment, segment)
+        # The reference's W (Eq. 13) over the prefetched P_T.
+        if trans <= UNREACHABLE_SCORE:
+            score = UNREACHABLE_SCORE
+        else:
+            score = trans * self.scorer.observation(index, segment)
+        self._w_cache[key] = score
+        return score
 
-    def _closest_route_segment(
-        self, route_segments: tuple[int, ...], index: int
-    ) -> int:
-        """Alg. 2 line 5 with one stacked distance pass.
+    def _prefetch(self, index: int, pairs: list[tuple[int, int]]) -> None:
+        """Fetch ``P_T`` for the pairs ``_w`` cannot answer yet, in one call.
 
-        ``argmin`` returns the first minimum and the distances are the
-        exact scalar ``distance_to`` floats, so the winner matches the
-        reference's first-minimum ``min`` scan segment for segment.  Short
-        routes (the common case) take the scalar scan directly — numpy
-        setup costs more than a handful of ``distance_to`` calls — which
-        is interchangeable because both compute identical distances.
+        A no-op for scorers without ``transition_pairs``: ``_w`` then asks
+        their scalar ``transition`` pair by pair, as the reference does.
         """
-        n = len(route_segments)
-        if n == 1:
-            return route_segments[0]
-        if n <= 16:
-            return super()._closest_route_segment(route_segments, index)
-        position = self.points[index].position
-        distances = self.network.point_segment_distances(
-            np.full(n, position.x),
-            np.full(n, position.y),
-            route_segments,
-        )
-        return route_segments[int(np.argmin(distances))]
+        fetch = getattr(self.scorer, "transition_pairs", None)
+        if fetch is None:
+            return
+        prev_pos, cur_pos, _ = self._w_steps[index]
+        fresh = [
+            (a, b)
+            for a, b in dict.fromkeys(pairs)
+            if (index, a, b) not in self._w_cache
+            and (index, a, b) not in self._prefetched
+            and not (a in prev_pos and b in cur_pos)
+        ]
+        if fresh:
+            values = np.asarray(fetch(index, fresh), dtype=np.float64).tolist()
+            for (a, b), value in zip(fresh, values):
+                self._prefetched[(index, a, b)] = value
 
     # ---------------------------------------------------------------- scoring
     def _observation_batch(self, index: int, segments: list[int]) -> np.ndarray:
-        if isinstance(self.scorer, BatchTrellisScorer):
+        if self._batched:
             return np.asarray(
                 self.scorer.observation_batch(index, segments), dtype=np.float64
             )
@@ -320,7 +362,7 @@ class VectorizedTrellis(Trellis):
 
     def _step_matrix(self, index: int, prev: list[int], cur: list[int]) -> np.ndarray:
         """The step-score matrix ``W[j, k]`` (Eq. 13) for one trellis layer."""
-        if isinstance(self.scorer, BatchTrellisScorer):
+        if self._batched:
             trans = np.asarray(
                 self.scorer.transition_batch(index, prev, cur), dtype=np.float64
             )
@@ -377,16 +419,27 @@ class VectorizedTrellis(Trellis):
 
     # -------------------------------------------------------------- shortcuts
     def _apply_shortcuts(self, shortcut_k: int) -> None:
-        """Alg. 2 with the Eq. 20 ranking done as one broadcast max per layer.
+        """Alg. 2, one layer at a time in fixed phases.
 
-        At layer ``i`` the one-hop candidates (``candidate_sets[i-1]``) are
-        always the forward pass's originals — shortcut insertion appends to
-        layer ``i-1`` only *while* processing layer ``i`` — so the stored
-        ``W`` matrices of steps ``i-1`` and ``i`` cover every (j, l, seg)
-        triple except two-hop predecessors ``j`` inserted during layer
-        ``i-1``; those few get a scalar ``_w`` row.  The ranked list is
-        assembled in candidate order and sorted exactly like the reference,
-        and the shortcut application itself is the inherited loop body.
+        At layer ``i``:
+
+        1. Rank the two-hop predecessors of every candidate (Eq. 20) with
+           one broadcast max over the retained ``W`` matrices of steps
+           ``i-1`` and ``i``.  Their rows and columns are the forward
+           pass's layer ``i-1`` candidates, because shortcut insertion
+           appends to layer ``i-1`` only *while* processing layer ``i``.
+           Two-hop predecessors inserted while processing layer ``i-1``
+           get extra ``W`` rows, fetched in one batched call.
+        2. Route every candidate's top-k ``(j, seg)`` pairs in one
+           :func:`~repro.network.router.route_pairs` call.
+        3. Pick each route's road closest to point ``i-1`` (line 5) in one
+           stacked distance pass (:func:`closest_segments`).
+        4. Fetch every transition the update reads — ``(j, u)`` at step
+           ``i-1`` and ``(u, seg)`` at step ``i`` — in one call per step.
+        5. Apply the shortcuts in the reference's order, reading caches.
+           Observations of inserted roads stay scalar and in that order,
+           because each new road is scored against its point's pool,
+           which grows as roads are inserted.
         """
         if any(i not in self._w_steps for i in range(1, len(self.points))):
             super()._apply_shortcuts(shortcut_k)
@@ -395,50 +448,58 @@ class VectorizedTrellis(Trellis):
         for i in range(2, n):
             prev_candidates = list(self.candidate_sets[i - 1])
             prev2_candidates = list(self.candidate_sets[i - 2])
-            prev2_pos, prev1_pos, w1 = self._w_steps[i - 1]
+            prev2_pos, _, w1 = self._w_steps[i - 1]
             _, cur_pos, w2 = self._w_steps[i]
+            inserted = [j for j in prev2_candidates if j not in prev2_pos]
+            if inserted:
+                self._prefetch(
+                    i - 1, [(j, l) for j in inserted for l in prev_candidates]
+                )
+                extra = [[self._w(i - 1, j, l) for l in prev_candidates] for j in inserted]
+                w1 = np.vstack([w1, np.array(extra, dtype=np.float64)])
+            row_of = dict(prev2_pos)
+            row_of.update((j, len(prev2_pos) + r) for r, j in enumerate(inserted))
             # w1 columns and w2 rows are both indexed by the original layer
             # i-1 candidates, in the same order, so the two-step score of
             # (j, l, seg) is w1[j, l] + w2[l, seg].
-            best_two_all = np.max(w1[:, :, None] + w2[None, :, :], axis=1)
-            extra_rows: dict[int, np.ndarray] = {}
-            for seg in list(self.candidate_sets[i]):
-                s_col = cur_pos[seg]
-                ranked: list[tuple[float, int]] = []
-                for j_seg in prev2_candidates:
-                    j_row = prev2_pos.get(j_seg)
-                    if j_row is not None:
-                        best_two_step = float(best_two_all[j_row, s_col])
-                    else:
-                        row = extra_rows.get(j_seg)
-                        if row is None:
-                            row = np.array(
-                                [self._w(i - 1, j_seg, l) for l in prev_candidates],
-                                dtype=np.float64,
-                            )
-                            extra_rows[j_seg] = row
-                        best_two_step = float(np.max(row + w2[:, s_col]))
-                    ranked.append((best_two_step, j_seg))
-                ranked.sort(reverse=True)
-                for _, j_seg in ranked[:shortcut_k]:
-                    route = self.engine.route(j_seg, seg)
-                    if route is None or len(route.segments) == 0:
-                        continue
-                    u_seg = self._closest_route_segment(route.segments, i - 1)
-                    w_in = self._w(i - 1, j_seg, u_seg)
-                    w_out = self._w(i, u_seg, seg)
-                    if w_in <= UNREACHABLE_SCORE or w_out <= UNREACHABLE_SCORE:
-                        continue
-                    shortcut_score = self._f[i - 2][j_seg] + w_in + w_out
-                    if shortcut_score > self._f[i][seg]:
-                        self._f[i][seg] = shortcut_score
-                        self._pre[i][seg] = u_seg
-                        projected = self._f[i - 2][j_seg] + w_in
-                        if projected > self._f[i - 1].get(u_seg, -math.inf):
-                            self._f[i - 1][u_seg] = projected
-                            self._pre[i - 1][u_seg] = j_seg
-                        if u_seg not in self.candidate_sets[i - 1]:
-                            self.candidate_sets[i - 1].append(u_seg)
+            best_two = np.max(w1[:, :, None] + w2[None, :, :], axis=1).tolist()
+            chosen: list[tuple[int, int]] = []
+            for seg in self.candidate_sets[i]:
+                col = cur_pos[seg]
+                ranked = sorted(
+                    ((best_two[row_of[j]][col], j) for j in prev2_candidates),
+                    reverse=True,
+                )
+                chosen.extend((j_seg, seg) for _, j_seg in ranked[:shortcut_k])
+            routes = route_pairs(self.engine, chosen)
+            live = [
+                (pair, route.segments)
+                for pair, route in zip(chosen, routes)
+                if route is not None and len(route.segments) > 0
+            ]
+            if not live:
+                continue
+            closest = closest_segments(
+                self.network, self.points[i - 1].position, [r for _, r in live]
+            )
+            shortcuts = [(j, seg, u) for ((j, seg), _), u in zip(live, closest)]
+            self._prefetch(i - 1, [(j, u) for j, _, u in shortcuts])
+            self._prefetch(i, [(u, seg) for _, seg, u in shortcuts])
+            for j_seg, seg, u_seg in shortcuts:
+                w_in = self._w(i - 1, j_seg, u_seg)
+                w_out = self._w(i, u_seg, seg)
+                if w_in <= UNREACHABLE_SCORE or w_out <= UNREACHABLE_SCORE:
+                    continue
+                shortcut_score = self._f[i - 2][j_seg] + w_in + w_out
+                if shortcut_score > self._f[i][seg]:
+                    self._f[i][seg] = shortcut_score
+                    self._pre[i][seg] = u_seg
+                    projected = self._f[i - 2][j_seg] + w_in
+                    if projected > self._f[i - 1].get(u_seg, -math.inf):
+                        self._f[i - 1][u_seg] = projected
+                        self._pre[i - 1][u_seg] = j_seg
+                    if u_seg not in self.candidate_sets[i - 1]:
+                        self.candidate_sets[i - 1].append(u_seg)
 
     def run(self, shortcut_k: int = 0) -> list[int]:
         """Best candidate per point (Alg. 1 with optional Alg. 2 shortcuts)."""

@@ -10,10 +10,17 @@ bit-identical to scoring every road near the trajectory up front:
   boundary ties and repeated positions included;
 * ``LHMM._segment_relevance`` gives a road the same float whatever batch
   it is scored in: batch size, row position and neighbours do not matter.
+
+The same batch invariance holds for the other inference forwards, which
+share its padding rule: the transition fusion MLP (a shortcut pass scores
+a layer's pairs in one call, the reference one pair per call) and the
+observation forward (the batched pipeline stacks a whole trajectory's
+candidates, the scalar one scores each point alone).
 """
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point
@@ -88,3 +95,55 @@ def test_relevance_is_independent_of_its_batch(trained_lhmm, data):
     for seg in probes:
         (alone,) = matcher._segment_relevance(tower_embeddings, [seg]).tolist()
         assert alone == by_segment[seg]
+
+
+def assert_rows_batch_invariant(score, rows, data):
+    """``score(rows)`` gives each row the float of its one-row call,
+    whatever the batch size, the row's position and its neighbours."""
+    n = len(rows[0])
+    values = score(*rows).tolist()
+    assert len(values) == n
+    order = data.draw(st.permutations(range(n)))
+    cut = data.draw(st.integers(1, n))
+    subset = np.array(order[:cut])
+    for k, value in zip(subset.tolist(), score(*(r[subset] for r in rows)).tolist()):
+        assert value == values[k]
+    probes = data.draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+    for k in probes:
+        (alone,) = score(*(r[k : k + 1] for r in rows)).tolist()
+        assert alone == values[k]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1), st.data())
+def test_transition_fusion_is_independent_of_its_batch(trained_lhmm, n, seed, data):
+    """Bitwise: a transition feature row's P_T equals its one-row call."""
+    matcher = trained_lhmm
+    width = matcher.transition_learner.fusion_mlp.layers[0].in_features
+    rng = np.random.default_rng(seed)
+    # Relevance and the explicit D_T columns all lie in [0, 5].
+    rows = rng.uniform(0.0, 5.0, size=(n, width))
+    assert_rows_batch_invariant(matcher._transition_probs, [rows], data)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2**32 - 1), st.data())
+def test_observation_forward_is_independent_of_its_batch(trained_lhmm, n, seed, data):
+    """Bitwise: a (road, context, explicit) row's P_O equals its one-row call."""
+    matcher = trained_lhmm
+    rng = np.random.default_rng(seed)
+    segments = sorted(matcher.network.segments)
+    node_idx = matcher.graph.segment_nodes(
+        rng.choice(segments, size=n).tolist()
+    )
+    towers = sorted(matcher.graph.towers.towers)
+    tower_nodes = [matcher.graph.tower_node(t) for t in rng.choice(towers, size=4)]
+    context = matcher.observation_learner.context(
+        Tensor(matcher.node_embeddings[tower_nodes])
+    ).numpy()
+    context_rows = context[rng.integers(0, len(context), size=n)]
+    width = matcher.observation_learner.num_explicit
+    explicit = rng.uniform(0.0, 1.0, size=(n, width))
+    assert_rows_batch_invariant(
+        matcher._observation_probs, [explicit, node_idx, context_rows], data
+    )

@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.baselines.hmm_heuristic import HeuristicHmmConfig, HeuristicHmmMatcher
 from repro.core.trellis import (
@@ -21,10 +22,13 @@ from repro.core.trellis import (
     UNREACHABLE_SCORE,
     Trellis,
     VectorizedTrellis,
+    closest_segments,
     make_trellis,
 )
+from repro.geometry import Point
 from repro.network import ShortestPathEngine, Ubodt, UbodtRouter
 from tests.test_core_trellis import TableScorer, chain_network, points
+from tests.test_spatial_batch_property import query_points, random_networks
 
 N_SEGMENTS = 8
 SHORTCUT_KS = (0, 1, 2)
@@ -49,6 +53,23 @@ class BatchTableScorer(TableScorer):
                 for prev in prev_segment_ids
             ],
             dtype=np.float64,
+        )
+
+
+class PairsTableScorer(BatchTableScorer):
+    """Batched table scorer with the optional ``transition_pairs`` hook.
+
+    Records every hook call as ``(index, pairs)``.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.pair_calls: list[tuple[int, list[tuple[int, int]]]] = []
+
+    def transition_pairs(self, index, pairs):
+        self.pair_calls.append((index, list(pairs)))
+        return np.array(
+            [self.transition(index, prev, seg) for prev, seg in pairs], dtype=np.float64
         )
 
 
@@ -87,6 +108,43 @@ def random_lattice(seed: int):
         for a in range(N_SEGMENTS):
             for b in range(N_SEGMENTS):
                 trans[(cut, a, b)] = UNREACHABLE_SCORE
+    return n_points, candidate_sets, obs, trans
+
+
+def shortcut_lattice(seed: int):
+    """A lattice whose shortcut pass inserts roads that become two-hop
+    predecessors of later layers.
+
+    Point ``i`` sits over chain segment ``i``, which layer ``i``'s
+    candidates never include; lattice transitions and observations are
+    weak, while everything off the lattice (the inserted roads) scores
+    0.9, so shortcuts through the closest route road win and insert it.
+    """
+    rng = np.random.default_rng(seed)
+    n_points = int(rng.integers(5, 7))
+    # Roads on both sides of segment i, so routes from a low two-hop
+    # predecessor to a high candidate cross segment i-1.
+    candidate_sets = [
+        sorted(
+            {int(rng.integers(0, i)) for _ in range(int(rng.integers(1, 3)))}
+            | {int(rng.integers(i + 1, N_SEGMENTS)) for _ in range(2)}
+        )
+        if i
+        else [1, 2]
+        for i in range(n_points)
+    ]
+    levels = np.array([0.05, 0.1, 0.1, 0.2, 0.3])
+    obs = {
+        (i, s): float(rng.choice(levels))
+        for i in range(n_points)
+        for s in candidate_sets[i]
+    }
+    trans = {
+        (i, a, b): float(rng.choice(levels))
+        for i in range(1, n_points)
+        for a in candidate_sets[i - 1]
+        for b in candidate_sets[i]
+    }
     return n_points, candidate_sets, obs, trans
 
 
@@ -196,6 +254,96 @@ class TestRandomizedParity:
         assert type(vec) is VectorizedTrellis
         with pytest.raises(ValueError):
             make_trellis([[0]], TableScorer(), net, engine, points(1), impl="numpy")
+
+
+class TestShortcutPhases:
+    """The layer-phased shortcut pass against the reference, on lattices
+    where inserted roads become two-hop predecessors."""
+
+    @staticmethod
+    def _run_pair(seed, shortcut_k, scorer_cls):
+        net = chain_network(N_SEGMENTS)
+        engine = ShortestPathEngine(net)
+        n_points, candidate_sets, obs, trans = shortcut_lattice(seed)
+        pts = points(n_points)
+        make = lambda cls: cls(obs, trans, default_obs=0.9, default_trans=0.9)
+        ref, ref_seq = run_impl(
+            "reference", candidate_sets, make(TableScorer), shortcut_k, net, engine, pts
+        )
+        scorer = make(scorer_cls)
+        vec, vec_seq = run_impl(
+            "vectorized", candidate_sets, scorer, shortcut_k, net, engine, pts
+        )
+        assert_trellis_equal(ref, vec, ref_seq, vec_seq)
+        # Some road inserted at layer l <= n-3 is a two-hop predecessor of
+        # layer l+2: the case the extra W rows serve.
+        assert any(
+            len(vec.candidate_sets[l]) > len(candidate_sets[l])
+            for l in range(1, n_points - 2)
+        )
+        return vec, scorer, n_points
+
+    @pytest.mark.parametrize("shortcut_k", (1, 2, 3))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_pairs_hook_matches_reference(self, seed, shortcut_k):
+        self._run_pair(seed, shortcut_k, PairsTableScorer)
+
+    @pytest.mark.parametrize("shortcut_k", (1, 2, 3))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_at_most_three_pair_calls_per_layer(self, seed, shortcut_k):
+        _, scorer, n_points = self._run_pair(seed, shortcut_k, PairsTableScorer)
+        layers = n_points - 2
+        calls = scorer.pair_calls
+        assert calls, "the shortcut pass fetched nothing in batch"
+        assert len(calls) <= 3 * layers
+        # Step x is read by layer x (the (u, seg) pairs) and by layer x+1
+        # (inserted two-hop rows, then the (j, u) pairs).
+        per_step: dict[int, int] = {}
+        for index, pairs in calls:
+            assert pairs and len(set(pairs)) == len(pairs)
+            per_step[index] = per_step.get(index, 0) + 1
+        assert all(count <= 3 for count in per_step.values())
+
+    @pytest.mark.parametrize("scorer_cls", (TableScorer, BatchTableScorer))
+    @pytest.mark.parametrize("shortcut_k", (1, 2, 3))
+    @pytest.mark.parametrize("seed", range(12))
+    def test_hookless_scorer_matches_reference(self, seed, shortcut_k, scorer_cls):
+        self._run_pair(seed, shortcut_k, scorer_cls)
+
+
+class TestClosestSegments:
+    """The stacked Alg. 2 line 5 pass equals the reference's scalar
+    first-minimum ``min(route, key=distance_to)``, route by route."""
+
+    @staticmethod
+    def _scalar(net, position, route):
+        return min(route, key=lambda seg: net.segments[seg].distance_to(position))
+
+    @settings(max_examples=80, deadline=None)
+    @given(random_networks(), query_points, st.data())
+    def test_equals_scalar_first_minimum(self, net, positions, data):
+        # Grid-aligned geometry, parallel duplicate roads and repeated ids
+        # make exact distance ties common.
+        ids = sorted(net.segments)
+        routes = data.draw(
+            st.lists(
+                st.lists(st.sampled_from(ids), min_size=1, max_size=40).map(tuple),
+                min_size=1,
+                max_size=6,
+            )
+        )
+        for position in positions:
+            expected = [self._scalar(net, position, route) for route in routes]
+            assert closest_segments(net, position, routes) == expected
+
+    def test_exact_ties_keep_the_first_road(self):
+        net = chain_network(N_SEGMENTS)
+        node = Point(300.0, 0.0)  # the shared end of segments 2 and 3
+        routes = [(3, 2), (2, 3), (1, 2, 3, 4), (4, 3, 2, 1), (5,)]
+        assert closest_segments(net, node, routes) == [3, 2, 2, 3, 5]
+        assert closest_segments(net, node, routes) == [
+            self._scalar(net, node, route) for route in routes
+        ]
 
 
 class TestRouterBackedParity:
