@@ -13,8 +13,8 @@ Usage::
                              --sample-id 12 --svg match.svg --ascii
     python -m repro serve    --dataset city.json.gz --model model.npz \
                              --port 8080 --workers 4
-    python -m repro golden              # check the golden match corpus
-    python -m repro golden --regen      # rewrite it after a reviewed change
+    python -m repro golden              # check the golden match + stream corpora
+    python -m repro golden --regen      # rewrite them after a reviewed change
     python -m repro profile             # profile the matching pipeline
     python -m repro profile --pipeline scalar --json profile.json
 
@@ -109,7 +109,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     golden = commands.add_parser(
         "golden",
-        help="check (or --regen) the golden regression corpus of matches",
+        help="check (or --regen) the golden regression corpora of matches "
+             "and streams",
     )
     golden.add_argument(
         "--regen", action="store_true",
@@ -118,7 +119,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     golden.add_argument(
         "--path", default=None,
-        help="corpus JSON (default: tests/golden/golden_matches.json)",
+        help="match corpus JSON (default: tests/golden/golden_matches.json); "
+             "the stream corpus is golden_streams.json next to it",
     )
 
     profile = commands.add_parser(
@@ -435,18 +437,25 @@ def _cmd_golden(args: argparse.Namespace) -> int:
     from repro.testing import golden
 
     path = Path(args.path) if args.path else golden.default_corpus_path()
+    stream_path = golden.stream_corpus_path(path)
     dataset = golden.build_golden_dataset()
     matcher = golden.build_golden_matcher(dataset)
     records = golden.compute_golden_records(matcher, dataset)
+    streams = golden.compute_stream_records(matcher, dataset)
     if args.regen:
         golden.write_corpus(path, records)
+        golden.write_corpus(stream_path, streams)
         print(f"wrote {path} ({len(records)} pinned trajectories)")
+        print(f"wrote {stream_path} ({len(streams)} pinned streams)")
         return 0
-    if not path.exists():
-        print(f"no corpus at {path}; run `python -m repro golden --regen` first")
+    if not path.exists() or not stream_path.exists():
+        print(f"no corpus at {path} or {stream_path}; "
+              "run `python -m repro golden --regen` first")
         return 1
-    expected = golden.load_corpus(path)
-    problems = golden.diff_records(records, expected["records"])
+    problems = golden.diff_records(records, golden.load_corpus(path)["records"])
+    problems += golden.diff_stream_records(
+        streams, golden.load_corpus(stream_path)["records"]
+    )
     if problems:
         print(f"golden corpus mismatch ({len(problems)} problems):")
         for problem in problems:
@@ -454,7 +463,8 @@ def _cmd_golden(args: argparse.Namespace) -> int:
         print("if the change is intentional, regenerate with --regen and "
               "review the diff")
         return 1
-    print(f"golden corpus ok ({len(records)} trajectories match {path})")
+    print(f"golden corpus ok ({len(records)} trajectories match {path}, "
+          f"{len(streams)} streams match {stream_path})")
     return 0
 
 

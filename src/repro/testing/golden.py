@@ -151,6 +151,70 @@ def load_corpus(path: Path) -> dict[str, Any]:
     return json.loads(path.read_text())
 
 
+#: Streaming lags pinned by the stream corpus; ``None`` means "the whole
+#: trajectory", so nothing commits before ``finish()``.
+GOLDEN_STREAM_LAGS = (1, 3, None)
+
+
+def stream_corpus_path(match_corpus: Path) -> Path:
+    """The stream corpus that sits next to a match corpus."""
+    return match_corpus.with_name("golden_streams.json")
+
+
+def compute_stream_records(
+    matcher: LHMM, dataset: MatchingDataset
+) -> list[dict[str, Any]]:
+    """Stream the pinned trajectories through :class:`OnlineLHMM`.
+
+    Each record holds ``committed_path`` after every fed point and the
+    ``finish()`` path, for one trajectory at one lag of
+    :data:`GOLDEN_STREAM_LAGS`.  The golden matcher keeps its implicit
+    ``P_O``/``P_T`` on, so this pins the streaming decoder with road
+    relevance in the loop.
+    """
+    from repro.core.online import OnlineLHMM
+
+    records = []
+    for sample in dataset.samples[:GOLDEN_MATCH_COUNT]:
+        points = sample.cellular.points
+        for lag in GOLDEN_STREAM_LAGS:
+            online = OnlineLHMM(matcher, lag=lag or len(points))
+            committed = []
+            for point in points:
+                online.add_point(point)
+                committed.append([int(s) for s in online.committed_path])
+            records.append(
+                {
+                    "sample_id": sample.sample_id,
+                    "lag": online.lag,
+                    "committed": committed,
+                    "final": [int(s) for s in online.finish()],
+                }
+            )
+    return records
+
+
+def diff_stream_records(
+    actual: list[dict[str, Any]], expected: list[dict[str, Any]]
+) -> list[str]:
+    """Human-readable mismatches between computed and expected stream records."""
+    problems: list[str] = []
+    if len(actual) != len(expected):
+        problems.append(f"record count {len(actual)} != expected {len(expected)}")
+    for got, want in zip(actual, expected):
+        label = f"sample {want['sample_id']} lag {want['lag']}"
+        if (got["sample_id"], got["lag"]) != (want["sample_id"], want["lag"]):
+            problems.append(f"record order drift at {label}")
+            continue
+        for k, (a, b) in enumerate(zip(got["committed"], want["committed"])):
+            if a != b:
+                problems.append(f"{label}: committed_path changed after point {k}")
+                break
+        if got["final"] != want["final"]:
+            problems.append(f"{label}: finish() path changed")
+    return problems
+
+
 #: How many dataset samples the default serve-side canary set uses.
 DEFAULT_CANARY_COUNT = 5
 
