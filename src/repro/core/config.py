@@ -31,11 +31,16 @@ class LHMMConfig:
             numpy max-plus kernel, the default) or ``"reference"`` (the
             dict-based oracle).  Both decode identical sequences; the
             differential suite (``tests/test_trellis_parity.py``) pins it.
+            Batch matching only: :class:`~repro.core.online.OnlineLHMM`
+            never reads it and always runs the vectorized layer kernel.
         pipeline_impl: Candidate/feature pipeline backend — ``"batched"``
             (stacked candidate retrieval, fused observation forward, and
             vectorised transition rows; the default) or ``"scalar"`` (the
             original per-point loops).  Both produce bit-identical matches;
             ``docs/performance.md`` documents the layout and invariants.
+            Streaming reads it only to pick the candidate-pool source (the
+            per-tower pool cache or the scalar builder, which yield the
+            same pool); its transition rows are always stacked.
 
     Training:
         epochs: Passes over the training trajectories per stage.

@@ -229,42 +229,31 @@ def transition_features(
     return np.array([length_gap, detour_ratio, turning], dtype=np.float64)
 
 
-def dense_relevance(network: RoadNetwork, relevance: dict[int, float]) -> np.ndarray:
-    """The per-segment relevance dict as a dense array (default 0.5).
-
-    Indexing this array by segment id yields exactly
-    ``relevance.get(segment_id, 0.5)``, which lets the batched transition
-    builder average a route's relevance with one gather + mean.
-    """
-    size = (max(network.segments) + 1) if network.segments else 0
-    dense = np.full(size, 0.5, dtype=np.float64)
-    for seg_id, value in relevance.items():
-        dense[seg_id] = value
-    return dense
-
-
 def transition_feature_rows(
     network: RoadNetwork,
     routes: list[Route | None],
     prev_point: TrajectoryPoint,
     point: TrajectoryPoint,
-    relevance_dense: np.ndarray | None = None,
+    relevance: np.ndarray | None = None,
+    relevance_ids: np.ndarray | list[int] | None = None,
 ) -> tuple[np.ndarray, list[int]]:
     """Stacked transition rows for one trellis step.
 
     Returns ``(rows, positions)``: ``rows[r]`` is the feature row for
     ``routes[positions[r]]`` (``None`` routes are skipped, order preserved).
-    Without ``relevance_dense`` the rows are the 3 explicit ``D_T`` columns,
+    Without ``relevance`` the rows are the 3 explicit ``D_T`` columns,
     bit-identical to per-route :func:`transition_features`.  With it, a
     leading implicit column carries the mean learned relevance over the
     route's segments, matching the scalar
-    ``float(np.mean([relevance.get(s, 0.5) for s in route.segments]))``
-    (same-length routes are grouped so ``np.mean(axis=1)`` reproduces the
-    per-route reduction exactly).
+    ``float(np.mean([rel[s] for s in route.segments]))`` (same-length
+    routes are grouped so ``np.mean(axis=1)`` reproduces the per-route
+    reduction exactly).  ``relevance`` is indexed by segment id, or, when
+    ``relevance_ids`` (sorted segment ids) is given, aligned with those
+    ids, which must then include every road of every route.
     """
     positions = [i for i, route in enumerate(routes) if route is not None]
     n = len(positions)
-    width = NUM_TRANSITION_FEATURES + (1 if relevance_dense is not None else 0)
+    width = NUM_TRANSITION_FEATURES + (1 if relevance is not None else 0)
     if n == 0:
         return np.empty((0, width), dtype=np.float64), positions
     kept = [routes[i] for i in positions]
@@ -282,7 +271,7 @@ def transition_feature_rows(
     detour_ratio = np.minimum(5.0, lengths / denominator)
     turning = np.minimum(3.0, turns / 180.0)
     explicit = np.column_stack([length_gap, detour_ratio, turning])
-    if relevance_dense is None:
+    if relevance is None:
         return explicit, positions
     implicit = np.empty(n, dtype=np.float64)
     # Group routes by segment count: np.mean over the rows of a same-length
@@ -297,5 +286,7 @@ def transition_feature_rows(
         ids = np.array(
             [kept[r].segments for r in members], dtype=np.int64
         )  # (len(members), seg_count)
-        implicit[members] = np.mean(relevance_dense[ids], axis=1)
+        if relevance_ids is not None:
+            ids = np.searchsorted(relevance_ids, ids)
+        implicit[members] = np.mean(relevance[ids], axis=1)
     return np.column_stack([implicit, explicit]), positions

@@ -299,7 +299,7 @@ class _LHMMScorer:
                 routes,
                 self._points[index - 1],
                 self._points[index],
-                relevance_dense=relevance,
+                relevance=relevance,
             )
         else:
             rows: list[np.ndarray] = []

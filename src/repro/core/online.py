@@ -13,19 +13,13 @@ cost of streaming.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from repro.cellular.trajectory import Trajectory, TrajectoryPoint
 from repro.core.candidates import learned_candidate_pool
-from repro.core.features import (
-    dense_relevance,
-    transition_feature_rows,
-    transition_features,
-)
+from repro.core.features import transition_feature_rows
 from repro.core.matcher import LHMM
-from repro.core.trellis import UNREACHABLE_SCORE
+from repro.core.trellis import UNREACHABLE_SCORE, step_scores, viterbi_layer
 from repro.errors import InvalidTrajectoryInput
 from repro.network.router import route_pairs
 from repro.network.shortest_path import stitch_segments
@@ -58,42 +52,6 @@ class OnlineLHMM:
         self._emitted: list[int] = []
 
     # ------------------------------------------------------------ internals
-    def _context_vector(self) -> np.ndarray:
-        """Attention context for the newest point over the recent window."""
-        matcher = self.matcher
-        window = self._points[-self.context_window :]
-        nodes = np.array([matcher._tower_node_for(p) for p in window])
-        with no_grad():
-            x = Tensor(matcher.node_embeddings[nodes])  # type: ignore[index]
-            context = matcher.observation_learner.context(x).numpy()
-        return context[-1]
-
-    def _relevance(self, segment_ids: list[int]) -> dict[int, float]:
-        matcher = self.matcher
-        if not matcher.transition_learner.use_implicit:
-            return {}
-        window = self._points[-self.context_window :]
-        nodes = np.array([matcher._tower_node_for(p) for p in window])
-        values = matcher._segment_relevance(
-            Tensor(matcher.node_embeddings[nodes]),  # type: ignore[index]
-            segment_ids,
-        )
-        return dict(zip(segment_ids, values.tolist()))
-
-    def _transition_for_route(self, relevance, route, prev_point, point) -> float:
-        matcher = self.matcher
-        if route is None:
-            return UNREACHABLE_SCORE
-        explicit = transition_features(matcher.network, route, prev_point, point)
-        if matcher.transition_learner.use_implicit:
-            implicit = float(
-                np.mean([relevance.get(s, 0.5) for s in route.segments])
-            )
-            row = np.concatenate([[implicit], explicit])
-        else:
-            row = explicit
-        return float(matcher._transition_probs(row.reshape(1, -1))[0])
-
     def _backtrack_step(self, i: int, current: int) -> int:
         """One backward step; on a disconnected lattice restart from the
         best-scoring state of the previous layer (mirrors the batch
@@ -120,7 +78,11 @@ class OnlineLHMM:
     def add_point(self, point: TrajectoryPoint) -> None:
         """Feed the next cellular sample.
 
-        A point with no candidate road raises before the decoder changes.
+        Each point extends the lattice by one layer through the batch
+        trellis's kernel: :func:`~repro.core.trellis.step_scores` over
+        ``P_T`` rows stacked by ``transition_feature_rows``, then
+        :func:`~repro.core.trellis.viterbi_layer`.  A point with no
+        candidate road raises before the decoder changes.
         """
         matcher = self.matcher
         cfg = matcher.config
@@ -138,15 +100,20 @@ class OnlineLHMM:
                 include_cooccurrence=cfg.extend_pool_with_cooccurrence,
             )
         self._points.append(point)
-        context = self._context_vector()
+        # The recent window's towers feed both the attention context and
+        # road relevance.
+        nodes = matcher._tower_nodes_for(self._points[-self.context_window :])
+        towers = Tensor(matcher.node_embeddings[nodes])  # type: ignore[index]
+        with no_grad():
+            context = matcher.observation_learner.context(towers).numpy()[-1]
         scores = matcher._score_observations(point, pool, context)
-        order = np.argsort(-scores)
-        candidates = [pool[int(j)] for j in order[: cfg.candidate_k]]
-        po = {pool[int(j)]: float(scores[int(j)]) for j in order[: cfg.candidate_k]}
+        order = np.argsort(-scores)[: cfg.candidate_k]
+        candidates = [pool[int(j)] for j in order]
+        obs = scores[order]
 
         if not self._layers:
             self._layers.append(candidates)
-            self._f.append(dict(po))
+            self._f.append(dict(zip(candidates, obs.tolist())))
             self._pre.append({})
             return
 
@@ -155,108 +122,31 @@ class OnlineLHMM:
         # the segments those routes touch.
         prev_layer = self._layers[-1]
         pairs = [(prev, nxt) for prev in prev_layer for nxt in candidates]
-        route_list = route_pairs(self.matcher.engine, pairs)
-        routes = dict(zip(pairs, route_list))
-        touched = sorted(
-            {s for route in route_list if route is not None for s in route.segments}
+        routes = route_pairs(matcher.engine, pairs)
+        relevance = touched = None
+        if matcher.transition_learner.use_implicit:
+            touched = sorted(
+                {s for route in routes if route is not None for s in route.segments}
+            )
+            relevance = matcher._segment_relevance(towers, touched)
+        rows, positions = transition_feature_rows(
+            matcher.network,
+            routes,
+            self._points[-2],
+            point,
+            relevance=relevance,
+            relevance_ids=touched,
         )
-        relevance = self._relevance(touched)
-
-        prev_point = self._points[-2]
-        prev_f = self._f[-1]
-        if self.matcher.config.trellis_impl == "vectorized":
-            new_f, new_pre = self._vectorized_layer(
-                relevance, pairs, route_list, prev_point, point, candidates, po
-            )
-        else:
-            new_f = {}
-            new_pre = {}
-            for seg in candidates:
-                best_score = -math.inf
-                best_prev = None
-                for prev_seg in prev_layer:
-                    trans = self._transition_for_route(
-                        relevance, routes[(prev_seg, seg)], prev_point, point
-                    )
-                    w = trans * po[seg] if trans > UNREACHABLE_SCORE else UNREACHABLE_SCORE
-                    score = prev_f[prev_seg] + w
-                    if score > best_score:
-                        best_score = score
-                        best_prev = prev_seg
-                new_f[seg] = best_score
-                if best_prev is not None:
-                    new_pre[seg] = best_prev
-        self._layers.append(candidates)
-        self._f.append(new_f)
-        self._pre.append(new_pre)
-        self._commit_ready_layers()
-
-    def _vectorized_layer(
-        self, relevance, pairs, route_list, prev_point, point, candidates, po
-    ) -> tuple[dict[int, float], dict[int, int]]:
-        """One streaming Viterbi layer as a batched MLP call + numpy max-plus.
-
-        Feature rows for every reachable pair are stacked into a single
-        ``fusion_mlp`` forward (the same stacking the batch matcher's
-        scorer performs per step), and the layer update is an ``argmax``
-        over the score matrix — first previous candidate wins ties, exactly
-        like the scalar scan.
-        """
-        matcher = self.matcher
-        prev_layer = self._layers[-1]
-        if matcher.config.pipeline_impl == "batched":
-            dense = None
-            if matcher.transition_learner.use_implicit:
-                dense = dense_relevance(matcher.network, relevance)
-            row_matrix, row_positions = transition_feature_rows(
-                matcher.network,
-                route_list,
-                prev_point,
-                point,
-                relevance_dense=dense,
-            )
-        else:
-            rows: list[np.ndarray] = []
-            row_positions = []
-            for pos, route in enumerate(route_list):
-                if route is None:
-                    continue
-                explicit = transition_features(
-                    matcher.network, route, prev_point, point
-                )
-                if matcher.transition_learner.use_implicit:
-                    implicit = float(
-                        np.mean([relevance.get(s, 0.5) for s in route.segments])
-                    )
-                    rows.append(np.concatenate([[implicit], explicit]))
-                else:
-                    rows.append(explicit)
-                row_positions.append(pos)
-            row_matrix = (
-                np.stack(rows)
-                if rows
-                else np.empty((0, 0), dtype=np.float64)
-            )
         trans = np.full(len(pairs), UNREACHABLE_SCORE)
-        if row_matrix.shape[0]:
-            trans[row_positions] = matcher._transition_probs(row_matrix)
-        trans = trans.reshape(len(prev_layer), len(candidates))
-        po_row = np.array([po[seg] for seg in candidates], dtype=np.float64)
-        w = np.where(
-            trans > UNREACHABLE_SCORE, trans * po_row[np.newaxis, :], UNREACHABLE_SCORE
-        )
+        if rows.shape[0]:
+            trans[positions] = matcher._transition_probs(rows)
+        w = step_scores(trans.reshape(len(prev_layer), len(candidates)), obs)
         f_prev = np.array([self._f[-1][seg] for seg in prev_layer], dtype=np.float64)
-        scores = f_prev[:, np.newaxis] + w
-        best_rows = scores.argmax(axis=0)
-        best = scores[best_rows, np.arange(len(candidates))]
-        new_f: dict[int, float] = {}
-        new_pre: dict[int, int] = {}
-        for k, seg in enumerate(candidates):
-            value = float(best[k])
-            new_f[seg] = value if value > -math.inf else -math.inf
-            if value > -math.inf:
-                new_pre[seg] = prev_layer[int(best_rows[k])]
-        return new_f, new_pre
+        f, pre, _ = viterbi_layer(f_prev, w, prev_layer, candidates)
+        self._layers.append(candidates)
+        self._f.append(f)
+        self._pre.append(pre)
+        self._commit_ready_layers()
 
     @property
     def committed_path(self) -> list[int]:

@@ -24,7 +24,10 @@ Two interchangeable backends implement the forward pass:
 
 Both must decode the *same* sequence with the same tie-breaking (first
 candidate in set order wins ties) and the same disconnected-lattice restart
-behaviour; :func:`make_trellis` selects one by name.
+behaviour; :func:`make_trellis` selects one by name.  The vectorized layer
+kernel — :func:`step_scores` (Eq. 13) and :func:`viterbi_layer` (the
+max-plus update) — is also the streaming decoder's
+(:class:`~repro.core.online.OnlineLHMM`), one layer per fed point.
 
 Shortcut caveat: Algorithm 2 redirects ``pre[c_{i-1}^u]`` (line 10), which
 the paper applies verbatim.  Applied unconditionally it can corrupt the
@@ -99,6 +102,47 @@ class BatchTrellisScorer(Protocol):
     ) -> np.ndarray:
         """``P_T`` matrix of shape ``(|prev|, |cur|)`` for one step."""
         ...
+
+
+def step_scores(trans: np.ndarray, obs: np.ndarray) -> np.ndarray:
+    """The step-score matrix ``W[j, k] = P_T[j, k] * P_O[k]`` (Eq. 13).
+
+    ``trans`` is one layer's ``(|prev|, |cur|)`` transition matrix and
+    ``obs`` the current candidates' observation row.  Unreachable entries
+    (``P_T <= UNREACHABLE_SCORE``) stay :data:`UNREACHABLE_SCORE`; every
+    other entry is the float the reference :meth:`Trellis._w` computes.
+    """
+    reachable = trans > UNREACHABLE_SCORE
+    return np.where(reachable, trans * obs[np.newaxis, :], UNREACHABLE_SCORE)
+
+
+def viterbi_layer(
+    f_prev: np.ndarray, w: np.ndarray, prev: list[int], cur: list[int]
+) -> tuple[dict[int, float], dict[int, int], np.ndarray]:
+    """One max-plus Viterbi layer (Alg. 1, Eq. 14): ``f_i(c) = max_j f_{i-1}(j) + W``.
+
+    ``f_prev`` holds the previous layer's scores aligned with ``prev`` and
+    ``w`` is :func:`step_scores` for ``prev`` × ``cur``.  Returns
+    ``(f, pre, f_array)``: the new scores and backpointers keyed by
+    segment in ``cur`` order, and the scores aligned with ``cur`` for the
+    next layer.  ``argmax`` keeps the first maximum, which is the
+    reference's strictly-greater scan over ``prev`` in order.  A column
+    with no finite entry scores ``-inf`` and gets no backpointer, so the
+    backtrack restarts from the best previous state there.
+    """
+    scores = f_prev[:, np.newaxis] + w
+    best_rows = scores.argmax(axis=0)
+    best = scores[best_rows, np.arange(len(cur))].tolist()
+    f: dict[int, float] = {}
+    pre: dict[int, int] = {}
+    for k, seg in enumerate(cur):
+        value = best[k]
+        if value > -math.inf:
+            f[seg] = value
+            pre[seg] = prev[int(best_rows[k])]
+        else:
+            f[seg] = -math.inf
+    return f, pre, np.array([f[seg] for seg in cur], dtype=np.float64)
 
 
 def closest_segments(
@@ -371,9 +415,7 @@ class VectorizedTrellis(Trellis):
                 [[self.scorer.transition(index, p, c) for c in cur] for p in prev],
                 dtype=np.float64,
             )
-        obs = self._observation_batch(index, cur)
-        reachable = trans > UNREACHABLE_SCORE
-        w = np.where(reachable, trans * obs[np.newaxis, :], UNREACHABLE_SCORE)
+        w = step_scores(trans, self._observation_batch(index, cur))
         if self._capture_w:
             # Retain the matrix (plus id -> index maps) for the shortcut
             # pass; entries are the exact floats the scalar ``_w`` yields.
@@ -397,25 +439,7 @@ class VectorizedTrellis(Trellis):
             prev = self.candidate_sets[i - 1]
             cur = self.candidate_sets[i]
             w = self._step_matrix(i, prev, cur)
-            scores = f_prev[:, np.newaxis] + w
-            # argmax returns the first maximum, matching the reference's
-            # strictly-greater scan over candidates in set order.
-            best_rows = scores.argmax(axis=0)
-            f_cur = scores[best_rows, np.arange(len(cur))]
-            layer_f = self._f[i]
-            layer_pre = self._pre[i]
-            for k, seg in enumerate(cur):
-                value = float(f_cur[k])
-                layer_f[seg] = value
-                # A column with no finite entry means every predecessor
-                # scored -inf: the reference records no backpointer there
-                # and the backtrack restarts from the best previous state.
-                if value > -math.inf:
-                    layer_pre[seg] = prev[int(best_rows[k])]
-                else:
-                    layer_f[seg] = -math.inf
-            f_cur = np.array([layer_f[seg] for seg in cur], dtype=np.float64)
-            f_prev = f_cur
+            self._f[i], self._pre[i], f_prev = viterbi_layer(f_prev, w, prev, cur)
 
     # -------------------------------------------------------------- shortcuts
     def _apply_shortcuts(self, shortcut_k: int) -> None:
