@@ -5,7 +5,9 @@ candidate generation, trellis decoding — against committed expectations
 (``tests/golden/golden_matches.json``).  Any change that shifts a matched
 edge sequence shows up as a test failure with the exact trajectory that
 moved, which separates "refactor" (corpus unchanged) from "behaviour
-change" (corpus must be regenerated and the diff reviewed).
+change" (corpus must be regenerated and the diff reviewed).  A second
+corpus (``tests/golden/golden_streams.json``) pins the streaming decoder
+(:class:`~repro.core.online.OnlineLHMM`) on the same trajectories.
 
 The configurations here are deliberately *frozen copies*, independent of
 the test-suite fixtures: tweaking ``tests/conftest.py`` for speed must not
@@ -26,7 +28,7 @@ from pathlib import Path
 from typing import Any
 
 from repro.cellular import SimulationConfig, TowerPlacementConfig
-from repro.core import LHMM, LHMMConfig
+from repro.core import LHMM, LHMMConfig, OnlineLHMM
 from repro.datasets import DatasetConfig, make_city_dataset
 from repro.datasets.dataset import MatchingDataset
 from repro.network import CityConfig
@@ -172,8 +174,6 @@ def compute_stream_records(
     ``P_O``/``P_T`` on, so this pins the streaming decoder with road
     relevance in the loop.
     """
-    from repro.core.online import OnlineLHMM
-
     records = []
     for sample in dataset.samples[:GOLDEN_MATCH_COUNT]:
         points = sample.cellular.points

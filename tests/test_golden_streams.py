@@ -4,10 +4,10 @@
 lags 1, 3 and the full trajectory length, ``committed_path`` after every
 fed point and the ``finish()`` path.  Unlike ``test_online_parity.py``,
 the golden matcher keeps its implicit ``P_O``/``P_T`` on, so streaming is
-pinned with the attention context and road relevance in the loop.  Every
-pipeline × trellis configuration must reproduce the same corpus: streaming
-reads ``pipeline_impl`` only to pick the candidate-pool source, which
-yields the same pool either way.
+pinned with the attention context and road relevance in the loop.  Both
+pipelines must reproduce the same corpus: streaming reads
+``pipeline_impl`` only to pick the candidate-pool source, which yields the
+same pool either way, and never reads ``trellis_impl``.
 
 A failure means streaming behaviour *changed*; if that is intended,
 regenerate with ``python -m repro golden --regen`` and review the diff.
@@ -18,7 +18,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.config import PIPELINE_IMPLS
-from repro.core.trellis import TRELLIS_IMPLS
 from repro.testing import golden
 
 
@@ -47,17 +46,13 @@ def test_stream_corpus_covers_every_trajectory_and_lag(stream_corpus):
     assert all(record["final"] for record in records)
 
 
-@pytest.mark.parametrize("trellis_impl", TRELLIS_IMPLS)
 @pytest.mark.parametrize("pipeline_impl", PIPELINE_IMPLS)
-def test_streams_pinned_exactly(
-    golden_matcher, stream_corpus, pipeline_impl, trellis_impl
-):
+def test_streams_pinned_exactly(golden_matcher, stream_corpus, pipeline_impl):
     dataset, matcher = golden_matcher
-    config = matcher.config
-    saved = (config.pipeline_impl, config.trellis_impl)
-    config.pipeline_impl, config.trellis_impl = pipeline_impl, trellis_impl
+    saved = matcher.config.pipeline_impl
+    matcher.config.pipeline_impl = pipeline_impl
     try:
         records = golden.compute_stream_records(matcher, dataset)
     finally:
-        config.pipeline_impl, config.trellis_impl = saved
+        matcher.config.pipeline_impl = saved
     assert golden.diff_stream_records(records, stream_corpus["records"]) == []
