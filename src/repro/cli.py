@@ -472,11 +472,16 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     """Profile end-to-end matching: per-stage wall-clock + cProfile.
 
     The per-stage table reads the pipeline's own entry points out of the
-    cProfile run, so the times are *cumulative per stage* and may nest:
-    ``route_pairs`` (every step's candidate pairs, routed up front, plus
-    the pairs the shortcut pass scores inside ``trellis.run``) and
-    ``relevance`` (scope check and ``P(e|X)`` scoring of the roads those
-    routes touch) run mostly before the trellis.  The hotspot listing
+    cProfile run, so the times are *cumulative per stage* and may nest.
+    On the batched pipeline ``route_block`` routes every step's candidate
+    pairs up front into one columnar block, and ``route_pairs`` covers only
+    the pairs the shortcut pass routes and scores inside ``trellis.run``;
+    on the scalar pipeline ``route_pairs`` routes the candidate pairs step
+    by step too.  ``relevance`` (scope check and ``P(e|X)`` scoring of the
+    roads those routes touch) runs mostly before the trellis, and so, on
+    the batched pipeline, does ``trip_transitions`` (every ``P_T`` row of
+    the trajectory, built and scored at once); ``transitions`` then only
+    hands each trellis step its slice.  The hotspot listing
     underneath is the flat view of the same run.  All matching caches are
     cleared first so the run reflects cold-cache behaviour — the same
     convention as the perf smoke benchmarks.
@@ -528,8 +533,10 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     trellis_cls = VectorizedTrellis if args.pipeline == "batched" else Trellis
     stages = [
         (LHMM, "prepare_candidates", "prepare_candidates"),
+        (router, "route_block", "route_block"),
         (router, "route_pairs", "route_pairs"),
         (_LHMMScorer, "_score_relevance", "relevance"),
+        (_LHMMScorer, "_score_trip", "trip_transitions"),
         (_LHMMScorer, "transition_batch", "transitions"),
         (trellis_cls, "run", "trellis.run"),
         (trellis_cls, "_apply_shortcuts", "shortcuts"),

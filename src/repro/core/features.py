@@ -15,7 +15,7 @@ from repro.cellular.trajectory import TrajectoryPoint
 from repro.core.relation_graph import RelationGraph
 from repro.geometry import heading_difference_deg
 from repro.network.road_network import RoadNetwork
-from repro.network.shortest_path import Route
+from repro.network.shortest_path import Route, RouteBlock
 
 NUM_OBSERVATION_FEATURES = 4
 NUM_BASE_OBSERVATION_FEATURES = 2  # without the pool-rank columns
@@ -147,62 +147,59 @@ def route_turn_sum_deg(network: RoadNetwork, route: Route) -> float:
     return total
 
 
-def route_turn_sum_cached(network: RoadNetwork, segments: tuple[int, ...]) -> float:
-    """:func:`route_turn_sum_deg` memoised by the route's segment tuple.
+def route_turn_sums(
+    network: RoadNetwork, segment_ids: np.ndarray, starts: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """:func:`route_turn_sum_deg` of many routes, bit for bit.
 
-    The first visit accumulates cached per-segment turn sums and headings
-    in exactly the scalar order (all in-segment angles first, then the
-    inter-segment heading differences), so the float is bit-identical to
-    :func:`route_turn_sum_deg`; repeat visits — the common case, since the
-    same routes recur across trellis steps and trajectories — are a dict
-    probe.
+    Route ``r`` is ``segment_ids[starts[r] : starts[r] + counts[r]]``.
+    Routes are ordered longest first, so the routes that still have a
+    ``k``-th road are a prefix and each column is one slice add.  Each
+    route's sum runs in exactly the scalar order (all in-segment turn sums
+    first, then the heading differences) with elementwise adds, and the
+    vectorised heading difference uses ``%`` and ``np.where``, which match
+    Python's ``%`` and branch bit for bit on the non-negative operands
+    involved.
     """
-    memo = network.route_turns()
-    value = memo.get(segments)
-    if value is None:
-        turn_sums, headings = network.turn_geometry()
-        value = 0.0
-        for s in segments:
-            value += turn_sums[s]
-        for earlier, later in zip(segments, segments[1:]):
-            value += heading_difference_deg(headings[earlier], headings[later])
-        memo[segments] = value
-    return value
+    turn_arr, heading_arr = network.turn_geometry_dense()
+    order = np.argsort(-counts, kind="stable")
+    first = starts[order]
+    remaining = counts[order]
+    acc = np.zeros(order.shape[0], dtype=np.float64)
+    longest = int(remaining[0]) if order.shape[0] else 0
+    # live[k]: how many routes have more than k roads (a prefix).
+    live = np.searchsorted(-remaining, -np.arange(longest + 1), side="left")
+    for k in range(longest):
+        m = live[k]
+        acc[:m] += turn_arr[segment_ids[first[:m] + k]]
+    for k in range(longest - 1):
+        m = live[k + 1]
+        here = first[:m] + k
+        diff = np.abs(
+            heading_arr[segment_ids[here]] - heading_arr[segment_ids[here + 1]]
+        ) % 360.0
+        acc[:m] += np.where(diff > 180.0, 360.0 - diff, diff)
+    out = np.empty_like(acc)
+    out[order] = acc
+    return out
 
 
 def fill_route_turn_memo(network: RoadNetwork, missing: list[tuple[int, ...]]) -> None:
     """Compute and memoise turn sums for many routes at once.
 
-    Routes are grouped by segment count; within a group the accumulation
-    runs column by column — elementwise sequential adds in exactly the
-    scalar order (all in-segment turn sums first, then the heading
-    differences), and the vectorised heading difference uses ``np.mod`` /
-    ``np.where``, which match Python's ``%`` and branch bit for bit on
-    the non-negative operands involved.  The memoised floats therefore
-    equal :func:`route_turn_sum_cached` / :func:`route_turn_sum_deg`.
+    The memoised floats come from :func:`route_turn_sums`, so they equal
+    :func:`route_turn_sum_deg` bit for bit.
     """
-    memo = network.route_turns()
-    turn_arr, heading_arr = network.turn_geometry_dense()
-    by_len: dict[int, list[tuple[int, ...]]] = {}
-    for segments in missing:
-        by_len.setdefault(len(segments), []).append(segments)
-    for seg_count, group in by_len.items():
-        if seg_count == 0:
-            for segments in group:
-                memo[segments] = 0.0
-            continue
-        ids = np.array(group, dtype=np.int64)  # (G, seg_count)
-        turns = turn_arr[ids]
-        acc = 0.0 + turns[:, 0]
-        for k in range(1, seg_count):
-            acc = acc + turns[:, k]
-        if seg_count > 1:
-            headings = heading_arr[ids]
-            for k in range(seg_count - 1):
-                diff = np.abs(headings[:, k] - headings[:, k + 1]) % 360.0
-                acc = acc + np.where(diff > 180.0, 360.0 - diff, diff)
-        for segments, value in zip(group, acc.tolist()):
-            memo[segments] = value
+    counts = np.fromiter(map(len, missing), dtype=np.int64, count=len(missing))
+    starts = np.zeros(len(missing), dtype=np.int64)
+    np.cumsum(counts[:-1], out=starts[1:])
+    segment_ids = np.fromiter(
+        (s for segments in missing for s in segments),
+        dtype=np.int64,
+        count=int(counts.sum()),
+    )
+    values = route_turn_sums(network, segment_ids, starts, counts)
+    network.route_turns().update(zip(missing, values.tolist()))
 
 
 def transition_features(
@@ -231,16 +228,24 @@ def transition_features(
 
 def transition_feature_rows(
     network: RoadNetwork,
-    routes: list[Route | None],
-    prev_point: TrajectoryPoint,
-    point: TrajectoryPoint,
+    routes: RouteBlock | list[Route | None],
+    prev_point: TrajectoryPoint | None = None,
+    point: TrajectoryPoint | None = None,
     relevance: np.ndarray | None = None,
     relevance_ids: np.ndarray | list[int] | None = None,
-) -> tuple[np.ndarray, list[int]]:
-    """Stacked transition rows for one trellis step.
+    *,
+    straight: np.ndarray | None = None,
+) -> tuple[np.ndarray, list[int] | np.ndarray]:
+    """Stacked transition rows for one trellis step or a whole trajectory.
+
+    ``routes`` is one step's routes (a list) or any number of steps' routes
+    (a :class:`RouteBlock`).  The straight-line distance of each step is
+    ``straight`` (aligned with ``routes``) or, for one step, the distance
+    from ``prev_point`` to ``point``.
 
     Returns ``(rows, positions)``: ``rows[r]`` is the feature row for
-    ``routes[positions[r]]`` (``None`` routes are skipped, order preserved).
+    route ``positions[r]`` (missing routes are skipped, order preserved);
+    ``positions`` is a list for a list of routes and an array for a block.
     Without ``relevance`` the rows are the 3 explicit ``D_T`` columns,
     bit-identical to per-route :func:`transition_features`.  With it, a
     leading implicit column carries the mean learned relevance over the
@@ -250,22 +255,38 @@ def transition_feature_rows(
     reduction exactly).  ``relevance`` is indexed by segment id, or, when
     ``relevance_ids`` (sorted segment ids) is given, aligned with those
     ids, which must then include every road of every route.
+
+    A list's turn sums come from the network's per-route memo, which pays
+    off for the small, recurring batches of the streaming decoder and the
+    shortcut pass; a block's come straight from :func:`route_turn_sums`.
     """
-    positions = [i for i, route in enumerate(routes) if route is not None]
+    if straight is None:
+        straight = prev_point.position.distance_to(point.position)
+    if isinstance(routes, RouteBlock):
+        positions = np.flatnonzero(routes.found)
+        starts = routes.offsets[positions]
+        counts = routes.offsets[positions + 1] - starts
+        lengths = routes.lengths[positions]
+        turns = route_turn_sums(network, routes.segment_ids, starts, counts)
+        groups = _block_length_groups(routes.segment_ids, starts, counts)
+    else:
+        positions = [i for i, route in enumerate(routes) if route is not None]
+        kept = [routes[i] for i in positions]
+        lengths = np.fromiter((r.length for r in kept), dtype=np.float64, count=len(kept))
+        memo = network.route_turns()
+        missing = [r.segments for r in kept if r.segments not in memo]
+        if missing:
+            fill_route_turn_memo(network, list(dict.fromkeys(missing)))
+        turns = np.fromiter(
+            (memo[r.segments] for r in kept), dtype=np.float64, count=len(kept)
+        )
+        groups = _route_length_groups(kept)
     n = len(positions)
     width = NUM_TRANSITION_FEATURES + (1 if relevance is not None else 0)
     if n == 0:
         return np.empty((0, width), dtype=np.float64), positions
-    kept = [routes[i] for i in positions]
-    lengths = np.fromiter((r.length for r in kept), dtype=np.float64, count=n)
-    memo = network.route_turns()
-    missing = [r.segments for r in kept if r.segments not in memo]
-    if missing:
-        fill_route_turn_memo(network, list(dict.fromkeys(missing)))
-    turns = np.fromiter(
-        (memo[r.segments] for r in kept), dtype=np.float64, count=n
-    )
-    straight = prev_point.position.distance_to(point.position)
+    if isinstance(straight, np.ndarray):
+        straight = straight[positions]
     denominator = straight + 100.0
     length_gap = np.abs(straight - lengths) / denominator
     detour_ratio = np.minimum(5.0, lengths / denominator)
@@ -274,19 +295,34 @@ def transition_feature_rows(
     if relevance is None:
         return explicit, positions
     implicit = np.empty(n, dtype=np.float64)
-    # Group routes by segment count: np.mean over the rows of a same-length
-    # stack is bitwise identical to the scalar per-route np.mean.
-    by_len: dict[int, list[int]] = {}
-    for r, route in enumerate(kept):
-        by_len.setdefault(len(route.segments), []).append(r)
-    for seg_count, members in by_len.items():
-        if seg_count == 0:
+    # Routes come grouped by segment count: np.mean over the rows of a
+    # same-length stack is bitwise identical to the scalar per-route np.mean.
+    for members, ids in groups:
+        if ids.shape[1] == 0:
             implicit[members] = 0.5
             continue
-        ids = np.array(
-            [kept[r].segments for r in members], dtype=np.int64
-        )  # (len(members), seg_count)
         if relevance_ids is not None:
             ids = np.searchsorted(relevance_ids, ids)
         implicit[members] = np.mean(relevance[ids], axis=1)
     return np.column_stack([implicit, explicit]), positions
+
+
+def _route_length_groups(routes: list[Route]):
+    """``(members, segment-id matrix)`` per segment count of ``routes``."""
+    by_len: dict[int, list[int]] = {}
+    for r, route in enumerate(routes):
+        by_len.setdefault(len(route.segments), []).append(r)
+    for seg_count, members in by_len.items():
+        ids = np.array([routes[r].segments for r in members], dtype=np.int64)
+        yield members, ids.reshape(len(members), seg_count)
+
+
+def _block_length_groups(segment_ids: np.ndarray, starts: np.ndarray, counts: np.ndarray):
+    """:func:`_route_length_groups` for routes laid out as block columns."""
+    order = np.argsort(counts, kind="stable")
+    sorted_counts = counts[order]
+    bounds = [0, *(np.flatnonzero(np.diff(sorted_counts)) + 1).tolist(), len(order)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        members = order[lo:hi]
+        ids = segment_ids[starts[members, None] + np.arange(sorted_counts[lo])]
+        yield members, ids

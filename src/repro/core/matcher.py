@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -41,8 +42,8 @@ from repro.core.trellis import UNREACHABLE_SCORE, make_trellis
 from repro.datasets.dataset import MatchingDataset, MatchingSample
 from repro.nn import StateDictMismatch, Tensor, no_grad
 from repro.nn.serialization import config_fingerprint, read_artifact, write_artifact
-from repro.network.router import Router, route_pairs
-from repro.network.shortest_path import Route, stitch_segments
+from repro.network.router import Router, route_block, route_pairs
+from repro.network.shortest_path import Route, RouteBlock, stitch_segments
 from repro.utils import derive_rng, ensure_rng
 
 
@@ -111,6 +112,11 @@ def _rowwise_forward(forward, *rows: np.ndarray) -> np.ndarray:
     return values
 
 
+def _roads(routes: Iterable[Route | None]) -> set[int]:
+    """Every road of the found ``routes``."""
+    return {seg for route in routes if route is not None for seg in route.segments}
+
+
 class _LHMMScorer:
     """Trellis scorer backed by the trained learners (batched, cached).
 
@@ -120,11 +126,16 @@ class _LHMMScorer:
     ``transition_pairs`` hook for the shortcut pass.  Every fusion forward
     is batch-invariant, so all paths return identical floats.
 
-    ``step_routes[i]`` holds the routes of step ``i``'s candidate product
-    (prev-major), routed once before the trellis runs.  Road relevance
-    ``P(e|X)`` lives in a dense per-trajectory array (0.5 by default) that
-    is scored once for the in-scope roads of those routes and topped up
-    for routes the shortcut pass adds later.
+    ``routed`` holds every step's candidate product (prev-major), routed
+    once before the trellis runs.  The batched pipeline passes one
+    :class:`~repro.network.shortest_path.RouteBlock` over all steps in
+    step order; the scorer then builds and scores all of the trajectory's
+    ``P_T`` rows at once, and the per-step calls slice the result.  The
+    scalar pipeline passes ``{step: routes}`` and scores each step's
+    routes one by one when the trellis asks.  Road relevance ``P(e|X)``
+    lives in a dense per-trajectory array (0.5 by default) that is scored
+    once for the in-scope roads of those routes and topped up for routes
+    the shortcut pass adds later.
     """
 
     def __init__(
@@ -134,7 +145,7 @@ class _LHMMScorer:
         candidate_sets: list[list[int]],
         po_maps: list[dict[int, float]],
         context: np.ndarray,
-        step_routes: dict[int, list[Route | None]],
+        routed: RouteBlock | dict[int, list[Route | None]],
         tower_embeddings: Tensor | None,
     ) -> None:
         self._matcher = matcher
@@ -143,35 +154,63 @@ class _LHMMScorer:
         self._candidate_sets = candidate_sets
         self._po = po_maps
         self._context = context
-        self._step_routes = step_routes
         self._towers = tower_embeddings  # None when implicit P_T is ablated
         self._relevance: np.ndarray | None = None  # segment id -> P(e|X)
         self._checked: set[int] = set()  # segments already scope-checked
         self._pt_cache: dict[tuple[int, int, int], float] = {}
         self._steps_done: set[int] = set()
+        # Scalar pipeline: step -> routes.  Batched: step -> P_T values.
+        self._step_routes: dict[int, list[Route | None]] = {}
+        self._step_probs: dict[int, np.ndarray] = {}
         if tower_embeddings is not None:
             network = matcher.network
             self._relevance = np.full(max(network.segments) + 1, 0.5)
-            self._score_relevance(
-                [route for routes in step_routes.values() for route in routes]
-            )
+        if isinstance(routed, RouteBlock):
+            self._score_trip(routed)
+        else:
+            self._step_routes = routed
+            if self._relevance is not None:
+                self._score_relevance(
+                    _roads(route for routes in routed.values() for route in routes)
+                )
+
+    def _score_trip(self, block: RouteBlock) -> None:
+        """``P_T`` of every step's candidate product from one trip block.
+
+        Relevance is scored once for the block's roads, all rows are built
+        by one ``transition_feature_rows`` call and scored by one fusion
+        forward; the forward is batch-invariant, so each value equals the
+        one a per-step call would give.
+        """
+        matcher = self._matcher
+        sets = self._candidate_sets
+        sizes = [len(sets[i - 1]) * len(sets[i]) for i in range(1, len(sets))]
+        if self._relevance is not None:
+            self._score_relevance(np.unique(block.segment_ids).tolist())
+        straight = np.repeat(
+            [a.distance_to(b) for a, b in zip(self._positions, self._positions[1:])],
+            sizes,
+        )
+        rows, positions = transition_feature_rows(
+            matcher.network, block, relevance=self._relevance, straight=straight
+        )
+        values = np.full(len(block), UNREACHABLE_SCORE)
+        if rows.shape[0]:
+            values[positions] = matcher._transition_probs(rows)
+        bounds = np.cumsum([0, *sizes]).tolist()
+        for i in range(1, len(sets)):
+            self._step_probs[i] = values[bounds[i - 1] : bounds[i]]
 
     # -------------------------------------------------------------- relevance
-    def _score_relevance(self, routes: list[Route | None]) -> None:
-        """Score ``P(e|X)`` for the unchecked, in-scope roads of ``routes``.
+    def _score_relevance(self, segment_ids: Iterable[int]) -> None:
+        """Score ``P(e|X)`` for the unchecked, in-scope roads among ``segment_ids``.
 
         A road is in scope when it lies within ``candidate_radius_m +
         RELEVANCE_MARGIN_M`` of some trajectory point; a route road outside
         it keeps the 0.5 default.  Roads checked before cost one set probe.
         """
         checked = self._checked
-        fresh = {
-            seg
-            for route in routes
-            if route is not None
-            for seg in route.segments
-            if seg not in checked
-        }
+        fresh = {seg for seg in segment_ids if seg not in checked}
         if not fresh:
             return
         checked.update(fresh)
@@ -232,7 +271,11 @@ class _LHMMScorer:
             for a in self._candidate_sets[index - 1]
             for b in self._candidate_sets[index]
         ]
-        values = self._compute_transitions(index, pairs, self._step_routes[index])
+        values = self._step_probs.get(index)
+        if values is not None:
+            values = values.tolist()
+        else:
+            values = self._compute_transitions(index, pairs, self._step_routes[index])
         for pair, value in zip(pairs, values):
             self._pt_cache[(index, pair[0], pair[1])] = value
 
@@ -246,19 +289,21 @@ class _LHMMScorer:
         and therefore every probability — is bit-identical to it.
         """
         pairs = [(a, b) for a in prev_segment_ids for b in segment_ids]
-        routes = None
-        if (
+        original = (
             prev_segment_ids == self._candidate_sets[index - 1]
             and segment_ids == self._candidate_sets[index]
-        ):
-            routes = self._step_routes[index]
-        values = self._compute_transitions(index, pairs, routes)
-        for pair, value in zip(pairs, values):
+        )
+        if original and index in self._step_probs:
+            values = self._step_probs[index]
+        else:
+            routes = self._step_routes.get(index) if original else None
+            values = np.array(
+                self._compute_transitions(index, pairs, routes), dtype=np.float64
+            )
+        for pair, value in zip(pairs, values.tolist()):
             self._pt_cache[(index, pair[0], pair[1])] = value
         self._steps_done.add(index)
-        return np.array(values, dtype=np.float64).reshape(
-            len(prev_segment_ids), len(segment_ids)
-        )
+        return values.reshape(len(prev_segment_ids), len(segment_ids))
 
     def transition_pairs(
         self, index: int, pairs: list[tuple[int, int]]
@@ -291,7 +336,7 @@ class _LHMMScorer:
             # insertions): one batched query, then top up their relevance.
             routes = route_pairs(matcher.engine, pairs)
             if self._relevance is not None:
-                self._score_relevance(routes)
+                self._score_relevance(_roads(routes))
         relevance = self._relevance
         if matcher.config.pipeline_impl == "batched":
             row_matrix, row_positions = transition_feature_rows(
@@ -722,19 +767,28 @@ class LHMM:
 
         # Route every step's candidate product first: the scorer reads road
         # relevance only through these routes (Eq. 11), so it scores P(e|X)
-        # once, for exactly the roads they touch.
-        step_routes = {
-            i: route_pairs(
-                self.engine,
-                [(a, b) for a in candidate_sets[i - 1] for b in candidate_sets[i]],
-            )
+        # once, for exactly the roads they touch.  The batched pipeline
+        # routes the whole trajectory into one block, prev-major per step
+        # and in step order.
+        products = [
+            [(a, b) for a in candidate_sets[i - 1] for b in candidate_sets[i]]
             for i in range(1, len(points))
-        }
+        ]
+        routed: RouteBlock | dict[int, list[Route | None]]
+        if self.config.pipeline_impl == "batched":
+            routed = route_block(
+                self.engine, [pair for pairs in products for pair in pairs]
+            )
+        else:
+            routed = {
+                i: route_pairs(self.engine, pairs)
+                for i, pairs in enumerate(products, start=1)
+            }
         towers = None
         if self.transition_learner.use_implicit:
             towers = Tensor(self.node_embeddings[tower_nodes])  # type: ignore[index]
         scorer = _LHMMScorer(
-            self, points, candidate_sets, po_maps, context, step_routes, towers
+            self, points, candidate_sets, po_maps, context, routed, towers
         )
         trellis = make_trellis(
             candidate_sets,

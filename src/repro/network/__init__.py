@@ -2,8 +2,8 @@
 
 from repro.network.road_network import CsrAdjacency, RoadNetwork, RoadSegment
 from repro.network.generators import CityConfig, generate_city_network
-from repro.network.shortest_path import Route, ShortestPathEngine
-from repro.network.router import Router, route_pairs
+from repro.network.shortest_path import Route, RouteBlock, ShortestPathEngine
+from repro.network.router import Router, route_block, route_pairs
 from repro.network.io import network_from_dict, network_to_dict, load_network, save_network
 from repro.network.ubodt import Ubodt, UbodtRouter
 
@@ -14,7 +14,9 @@ __all__ = [
     "CityConfig",
     "generate_city_network",
     "Route",
+    "RouteBlock",
     "Router",
+    "route_block",
     "route_pairs",
     "ShortestPathEngine",
     "network_from_dict",

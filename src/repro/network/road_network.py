@@ -58,6 +58,7 @@ class CsrAdjacency:
     _edge_lookup_cache: dict[tuple[int, int], int] | None = field(
         default=None, repr=False, compare=False
     )
+    _edge_keys_cache: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def num_nodes(self) -> int:
@@ -74,6 +75,24 @@ class CsrAdjacency:
         """
         lookup = self._edge_lookup()
         return lookup.get((u_index, v_index), -1)
+
+    def segments_between(self, u_index: np.ndarray, v_index: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`segment_between` for edges known to be stored.
+
+        Looks every ``u * N + v`` key up in the sorted key array of the
+        canonical CSR order with one ``np.searchsorted``; the caller
+        guarantees each ``(u, v)`` edge exists (e.g. a predecessor-chain
+        hop), so no absent-edge check is made.
+        """
+        if self._edge_keys_cache is None:
+            matrix = self.matrix
+            rows = np.repeat(
+                np.arange(self.num_nodes, dtype=np.int64), np.diff(matrix.indptr)
+            )
+            keys = rows * self.num_nodes + matrix.indices.astype(np.int64)
+            object.__setattr__(self, "_edge_keys_cache", keys)
+        keys = np.asarray(u_index, dtype=np.int64) * self.num_nodes + v_index
+        return self.edge_segments[np.searchsorted(self._edge_keys_cache, keys)]
 
     def _edge_lookup(self) -> dict[tuple[int, int], int]:
         if self._edge_lookup_cache is None:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Protocol, Sequence, runtime_checkable
 
-from repro.network.shortest_path import Route
+from repro.network.shortest_path import Route, RouteBlock
 
 
 @runtime_checkable
@@ -41,3 +41,16 @@ def route_pairs(
     if many is not None:
         return many(pairs)
     return [router.route(a, b) for a, b in pairs]
+
+
+def route_block(router: Router, pairs: Sequence[tuple[int, int]]) -> RouteBlock:
+    """Route every ``(from, to)`` pair into one columnar :class:`RouteBlock`.
+
+    Routers with a native ``route_block`` (the Dijkstra engine) build it
+    straight from their predecessor rows; any other router's
+    :func:`route_pairs` answer is packed with :meth:`RouteBlock.from_routes`.
+    """
+    block = getattr(router, "route_block", None)
+    if block is not None:
+        return block(pairs)
+    return RouteBlock.from_routes(route_pairs(router, pairs))

@@ -18,19 +18,28 @@ Two backends share that contract:
 
 Segment-level routes are additionally memoised in an LRU-bounded cache with
 hit/miss counters, sized for long-running matching workers.
+
+The batched matcher does not build one :class:`Route` per candidate pair:
+:meth:`ShortestPathEngine.route_block` routes a whole trajectory's candidate
+products into one columnar :class:`RouteBlock` (found flags, lengths, and
+the segment ids of every route in one flat array).  It settles the block's
+source nodes with one multi-source Dijkstra call, walks every pair's
+predecessor chain in lockstep with NumPy, and bypasses the per-pair route
+cache; each entry equals what :meth:`ShortestPathEngine.route` returns.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+from itertools import chain
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from repro.network.road_network import RoadNetwork
+from repro.network.road_network import RoadNetwork, _ragged_ranges
 
 try:  # pragma: no cover - import guard exercised only without scipy
     from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
@@ -64,6 +73,67 @@ class Route:
         return len(self.segments)
 
 
+@dataclass(frozen=True, slots=True)
+class RouteBlock:
+    """Many routes as columns, aligned with the ``(from, to)`` pairs routed.
+
+    Entry ``i`` is the route of pair ``i``: ``found[i]`` says whether one
+    exists, ``lengths[i]`` is its :attr:`Route.length` (inf when not
+    found), and ``segment_ids[offsets[i]:offsets[i + 1]]`` are its
+    :attr:`Route.segments` (empty when not found).
+
+    Attributes:
+        found: ``bool[n]``.
+        lengths: ``float64[n]``.
+        offsets: ``int64[n + 1]``, starting at 0.
+        segment_ids: ``int64[offsets[-1]]``.
+    """
+
+    found: np.ndarray
+    lengths: np.ndarray
+    offsets: np.ndarray
+    segment_ids: np.ndarray
+
+    def __len__(self) -> int:
+        return int(self.found.shape[0])
+
+    def route(self, i: int) -> Route | None:
+        """Entry ``i`` as a :class:`Route` (None when not found)."""
+        if not self.found[i]:
+            return None
+        segments = self.segment_ids[self.offsets[i] : self.offsets[i + 1]]
+        return Route(segments=tuple(segments.tolist()), length=float(self.lengths[i]))
+
+    def slice(self, lo: int, hi: int) -> "RouteBlock":
+        """Entries ``lo:hi`` as their own block (e.g. one trellis step)."""
+        start, stop = self.offsets[lo], self.offsets[hi]
+        return RouteBlock(
+            found=self.found[lo:hi],
+            lengths=self.lengths[lo:hi],
+            offsets=self.offsets[lo : hi + 1] - start,
+            segment_ids=self.segment_ids[start:stop],
+        )
+
+    @classmethod
+    def from_routes(cls, routes: Sequence[Route | None]) -> "RouteBlock":
+        """Pack per-pair routes, for routers without a native block builder."""
+        n = len(routes)
+        found = np.fromiter((r is not None for r in routes), dtype=bool, count=n)
+        kept = [r.segments for r in routes if r is not None]
+        lengths = np.full(n, math.inf)
+        lengths[found] = np.fromiter(
+            (r.length for r in routes if r is not None), dtype=np.float64, count=len(kept)
+        )
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        counts = offsets[1:]
+        counts[found] = np.fromiter(map(len, kept), dtype=np.int64, count=len(kept))
+        np.cumsum(counts, out=counts)
+        segment_ids = np.fromiter(
+            chain.from_iterable(kept), dtype=np.int64, count=int(offsets[-1])
+        )
+        return cls(found, lengths, offsets, segment_ids)
+
+
 class _ScipyBackend:
     """Node-level Dijkstra on the CSR adjacency, batched across sources."""
 
@@ -76,14 +146,24 @@ class _ScipyBackend:
         # source node id -> (distance row, predecessor row) over node indices
         self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
 
-    def ensure(self, sources: Iterable[int]) -> None:
-        """Settle all missing sources with one multi-source Dijkstra call."""
+    def ensure(self, sources: Iterable[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Settle all missing sources with one multi-source Dijkstra call.
+
+        Returns the ``(distance row, predecessor row)`` of every requested
+        source in the network, including rows this call settles and then
+        evicts from the LRU at once (more sources than its bound).
+        """
         csr = self._network.csr()
-        missing = [
-            s for s in dict.fromkeys(sources) if s not in self._rows and s in csr.index
-        ]
+        rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        missing = []
+        for s in dict.fromkeys(sources):
+            cached = self._rows.get(s)
+            if cached is not None:
+                rows[s] = cached
+            elif s in csr.index:
+                missing.append(s)
         if not missing:
-            return
+            return rows
         indices = np.array([csr.index[s] for s in missing], dtype=np.int64)
         dist, pred = _csgraph_dijkstra(
             csr.matrix,
@@ -93,9 +173,10 @@ class _ScipyBackend:
             limit=self._limit,
         )
         for row, source in enumerate(missing):
-            self._rows[source] = (dist[row], pred[row])
+            rows[source] = self._rows[source] = (dist[row], pred[row])
         while len(self._rows) > self._cache_size:
             self._rows.popitem(last=False)
+        return rows
 
     def _row(self, source: int) -> tuple[np.ndarray, np.ndarray] | None:
         cached = self._rows.get(source)
@@ -323,6 +404,9 @@ class ShortestPathEngine:
         # segment pairs route over the same (end_node, start_node) pair, so
         # the predecessor walk is shared across them.
         self._node_path_cache: dict[tuple[int, int], tuple[tuple[int, ...] | None, float]] = {}
+        # (csr, start node index, end node index, length) per segment id, for
+        # route_block; rebuilt when the network's adjacency is.
+        self._segment_table: tuple | None = None
 
     # ------------------------------------------------------------- node level
     def node_distance(self, u: int, v: int) -> float:
@@ -434,6 +518,133 @@ class ShortestPathEngine:
                     out.append(self.route(a, b))
             return out
         return [self.route(a, b) for a, b in pairs]
+
+    def route_block(self, pairs: Sequence[tuple[int, int]]) -> RouteBlock:
+        """Route every ``(from, to)`` pair into one columnar block.
+
+        Entry ``i`` equals ``route(*pairs[i])``: a self pair is ``(a,)``
+        with length 0, a direct continuation ``(a, b)`` with ``b``'s length
+        (never capped), and any other pair goes over the shortest node path
+        and is missing when that is unreachable or longer than
+        ``max_route_length``.  One multi-source Dijkstra call settles every
+        source node the block needs; the rows it returns are read directly,
+        so a block with more sources than the source cache holds loses
+        none.  Predecessor chains of all distinct node pairs are walked in
+        lockstep, and each hop's segment comes from one sorted-key
+        ``searchsorted`` over the CSR.  The per-pair route cache and the
+        node-path cache are neither read nor filled.  The heap backend has
+        no native builder and packs :meth:`route_many` instead.
+        """
+        if not self.use_scipy:
+            return RouteBlock.from_routes(self.route_many(pairs))
+        csr, seg_start, seg_end, seg_length = self._segment_tables()
+        n = len(pairs)
+        flat = np.fromiter(
+            (s for pair in pairs for s in pair), dtype=np.int64, count=2 * n
+        )
+        a, b = flat[0::2], flat[1::2]
+        u, v = seg_end[a], seg_start[b]
+        lengths = np.full(n, math.inf)
+        counts = np.zeros(n, dtype=np.int64)
+        same = a == b
+        lengths[same] = 0.0
+        counts[same] = 1
+        direct = ~same & (u == v)
+        lengths[direct] = seg_length[b[direct]]
+        counts[direct] = 2
+        walk = np.flatnonzero(~same & ~direct)
+        # Walk each distinct (end node, start node) pair once.
+        keys, which = np.unique(u[walk] * csr.num_nodes + v[walk], return_inverse=True)
+        dist, depth, roads, road_start = self._node_paths(csr, keys)
+        walk_length = dist[which] + seg_length[b[walk]]
+        routed = walk_length <= self.max_route_length  # False for inf
+        walk, which = walk[routed], which[routed]
+        lengths[walk] = walk_length[routed]
+        counts[walk] = depth[which] + 2
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        segment_ids = np.empty(int(offsets[-1]), dtype=np.int64)
+        found = counts > 0
+        segment_ids[offsets[:-1][found]] = a[found]
+        two_plus = counts > 1
+        segment_ids[offsets[1:][two_plus] - 1] = b[two_plus]
+        if walk.shape[0]:
+            segment_ids[_ragged_ranges(offsets[walk] + 1, depth[which])] = roads[
+                _ragged_ranges(road_start[which], depth[which])
+            ]
+        return RouteBlock(found, lengths, offsets, segment_ids)
+
+    def _node_paths(
+        self, csr, keys: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Shortest node paths for sorted ``u * N + v`` node-index keys.
+
+        Returns ``(dist, depth, roads, road_start)``: path ``q`` has node
+        distance ``dist[q]`` (inf when unreachable) and the roads
+        ``roads[road_start[q] : road_start[q] + depth[q]]``.  All chains
+        are walked back from their targets in lockstep, one predecessor
+        gather per hop.
+        """
+        count = keys.shape[0]
+        u, v = keys // csr.num_nodes, keys % csr.num_nodes
+        dist = np.full(count, math.inf)
+        depth = np.zeros(count, dtype=np.int64)
+        road_start = np.zeros(count, dtype=np.int64)
+        if not count:
+            return dist, depth, np.empty(0, dtype=np.int64), road_start
+        # Sorted keys keep each source's paths contiguous.
+        sources, first = np.unique(u, return_index=True)
+        bounds = [*first.tolist(), count]
+        rows = self._backend.ensure(csr.node_ids[sources].tolist())
+        source_rows = [rows[node] for node in csr.node_ids[sources].tolist()]
+        for lo, hi, (dist_row, _) in zip(bounds, bounds[1:], source_rows):
+            dist[lo:hi] = dist_row[v[lo:hi]]
+        pred = np.stack([pred_row for _, pred_row in source_rows])
+        row_of = np.repeat(np.arange(len(source_rows)), np.diff(bounds))
+        hops = []  # (path, from node, to node, hops walked so far)
+        cur = v.copy()
+        active = np.flatnonzero(np.isfinite(dist))
+        step = 0
+        while active.shape[0]:
+            p = pred[row_of[active], cur[active]]
+            broken = p < 0
+            if broken.any():  # never reaches the source: unreachable
+                dist[active[broken]] = math.inf
+                active, p = active[~broken], p[~broken]
+            hops.append((active, p, cur[active], np.full(active.shape[0], step)))
+            cur[active] = p
+            active = active[p != u[active]]
+            step += 1
+        if not hops:
+            return dist, depth, np.empty(0, dtype=np.int64), road_start
+        path, hop_from, hop_to, hop_step = (np.concatenate(col) for col in zip(*hops))
+        keep = np.isfinite(dist[path])
+        path = path[keep]
+        depth = np.bincount(path, minlength=count)
+        np.cumsum(depth[:-1], out=road_start[1:])
+        # Hop ``s`` counted back from the target is the path's
+        # ``depth - 1 - s``-th road.
+        roads = np.empty(path.shape[0], dtype=np.int64)
+        roads[road_start[path] + depth[path] - 1 - hop_step[keep]] = csr.segments_between(
+            hop_from[keep], hop_to[keep]
+        )
+        return dist, depth, roads, road_start
+
+    def _segment_tables(self) -> tuple:
+        """``(csr, start node index, end node index, length)`` by segment id."""
+        csr = self.network.csr()
+        if self._segment_table is None or self._segment_table[0] is not csr:
+            segments = self.network.segments
+            size = max(segments) + 1 if segments else 0
+            start = np.zeros(size, dtype=np.int64)
+            end = np.zeros(size, dtype=np.int64)
+            length = np.zeros(size, dtype=np.float64)
+            for seg_id, seg in segments.items():
+                start[seg_id] = csr.index[seg.start_node]
+                end[seg_id] = csr.index[seg.end_node]
+                length[seg_id] = seg.length
+            self._segment_table = (csr, start, end, length)
+        return self._segment_table
 
     def route_length(self, from_segment: int, to_segment: int) -> float:
         """Length of :meth:`route` (inf when unreachable)."""

@@ -417,6 +417,7 @@ class TestProfile:
         assert "trellis.run" in payload["stages_s"]
         assert "transitions" in payload["stages_s"]
         assert "relevance" in payload["stages_s"]
+        assert "route_block" in payload["stages_s"]
 
     def test_scalar_pipeline_uses_reference_trellis(self, dataset_file, capsys):
         code = main(
