@@ -206,7 +206,6 @@ def _cold_match_all(matcher, trajectories, pipeline_impl, trellis_impl):
     network = matcher.network
     network._near_memo.clear()
     network._route_turns.clear()
-    network._index._box_cache.clear()
     matcher._pool_cache_obj = None
     start = time.perf_counter()
     paths = [tuple(matcher.match(t).path) for t in trajectories]

@@ -474,10 +474,11 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     The per-stage table reads the pipeline's own entry points out of the
     cProfile run, so the times are *cumulative per stage* and may nest.
     On the batched pipeline ``route_block`` routes every step's candidate
-    pairs up front into one columnar block, and ``route_pairs`` covers only
-    the pairs the shortcut pass routes and scores inside ``trellis.run``;
-    on the scalar pipeline ``route_pairs`` routes the candidate pairs step
-    by step too.  ``relevance`` (scope check and ``P(e|X)`` scoring of the
+    pairs up front into one columnar block, and also the pairs the
+    shortcut pass routes and scores inside ``trellis.run``;
+    ``route_pairs`` is not called there.  On the scalar pipeline
+    ``route_pairs`` routes the candidate pairs step by step and the
+    shortcut pairs.  ``relevance`` (scope check and ``P(e|X)`` scoring of the
     roads those routes touch) runs mostly before the trellis, and so, on
     the batched pipeline, does ``trip_transitions`` (every ``P_T`` row of
     the trajectory, built and scored at once); ``transitions`` then only
@@ -546,7 +547,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     network = matcher.network
     network._near_memo.clear()
     network._route_turns.clear()
-    network._index._box_cache.clear()
     matcher._pool_cache_obj = None
 
     profiler = cProfile.Profile()

@@ -130,7 +130,9 @@ class _LHMMScorer:
     once before the trellis runs.  The batched pipeline passes one
     :class:`~repro.network.shortest_path.RouteBlock` over all steps in
     step order; the scorer then builds and scores all of the trajectory's
-    ``P_T`` rows at once, and the per-step calls slice the result.  The
+    ``P_T`` rows at once, and the per-step calls slice the result.  Pairs
+    off those products (the shortcut pass's) are scored the same way, one
+    block per ``transition_pairs`` call (:meth:`_score_block`).  The
     scalar pipeline passes ``{step: routes}`` and scores each step's
     routes one by one when the trellis asks.  Road relevance ``P(e|X)``
     lives in a dense per-trajectory array (0.5 by default) that is scored
@@ -151,6 +153,10 @@ class _LHMMScorer:
         self._matcher = matcher
         self._points = points
         self._positions = [p.position for p in points]
+        # Straight-line distance of each step, indexed by step - 1.
+        self._straight = [
+            a.distance_to(b) for a, b in zip(self._positions, self._positions[1:])
+        ]
         self._candidate_sets = candidate_sets
         self._po = po_maps
         self._context = context
@@ -175,31 +181,33 @@ class _LHMMScorer:
                 )
 
     def _score_trip(self, block: RouteBlock) -> None:
-        """``P_T`` of every step's candidate product from one trip block.
-
-        Relevance is scored once for the block's roads, all rows are built
-        by one ``transition_feature_rows`` call and scored by one fusion
-        forward; the forward is batch-invariant, so each value equals the
-        one a per-step call would give.
-        """
-        matcher = self._matcher
+        """``P_T`` of every step's candidate product from one trip block."""
         sets = self._candidate_sets
         sizes = [len(sets[i - 1]) * len(sets[i]) for i in range(1, len(sets))]
+        values = self._score_block(block, np.repeat(self._straight, sizes))
+        bounds = np.cumsum([0, *sizes]).tolist()
+        for i in range(1, len(sets)):
+            self._step_probs[i] = values[bounds[i - 1] : bounds[i]]
+
+    def _score_block(self, block: RouteBlock, straight: np.ndarray) -> np.ndarray:
+        """``P_T`` per block entry, each with its step's ``straight`` distance.
+
+        Relevance is topped up once for the block's roads, all rows are
+        built by one ``transition_feature_rows`` call and scored by one
+        fusion forward; the forward is batch-invariant, so each value
+        equals the one a per-step or one-pair call would give.  Missing
+        routes read :data:`UNREACHABLE_SCORE`.
+        """
+        matcher = self._matcher
         if self._relevance is not None:
             self._score_relevance(np.unique(block.segment_ids).tolist())
-        straight = np.repeat(
-            [a.distance_to(b) for a, b in zip(self._positions, self._positions[1:])],
-            sizes,
-        )
         rows, positions = transition_feature_rows(
             matcher.network, block, relevance=self._relevance, straight=straight
         )
         values = np.full(len(block), UNREACHABLE_SCORE)
         if rows.shape[0]:
             values[positions] = matcher._transition_probs(rows)
-        bounds = np.cumsum([0, *sizes]).tolist()
-        for i in range(1, len(sets)):
-            self._step_probs[i] = values[bounds[i - 1] : bounds[i]]
+        return values
 
     # -------------------------------------------------------------- relevance
     def _score_relevance(self, segment_ids: Iterable[int]) -> None:
@@ -258,11 +266,7 @@ class _LHMMScorer:
             cached = self._pt_cache.get(key)
             if cached is not None:
                 return cached
-        value = self._compute_transitions(
-            index, [(prev_segment_id, segment_id)]
-        )[0]
-        self._pt_cache[key] = value
-        return value
+        return float(self.transition_pairs([key])[0])
 
     def _batch_step(self, index: int) -> None:
         """Score every candidate pair of one step in a single MLP call."""
@@ -295,33 +299,42 @@ class _LHMMScorer:
         )
         if original and index in self._step_probs:
             values = self._step_probs[index]
-        else:
-            routes = self._step_routes.get(index) if original else None
+        elif original and index in self._step_routes:
             values = np.array(
-                self._compute_transitions(index, pairs, routes), dtype=np.float64
+                self._compute_transitions(index, pairs, self._step_routes[index]),
+                dtype=np.float64,
             )
+        else:
+            values = self.transition_pairs([(index, a, b) for a, b in pairs])
         for pair, value in zip(pairs, values.tolist()):
             self._pt_cache[(index, pair[0], pair[1])] = value
         self._steps_done.add(index)
         return values.reshape(len(prev_segment_ids), len(segment_ids))
 
-    def transition_pairs(
-        self, index: int, pairs: list[tuple[int, int]]
-    ) -> np.ndarray:
-        """``P_T`` for arbitrary pairs of one step, uncached ones in one call.
+    def transition_pairs(self, keys: list[tuple[int, int, int]]) -> np.ndarray:
+        """``P_T`` for arbitrary ``(step, prev, seg)`` keys, uncached ones at once.
 
-        The shortcut pass asks for every pair a layer will read at once;
-        the floats equal one-pair :meth:`transition` calls because the
-        fusion forward is batch-invariant.
+        The shortcut pass asks for every pair its plan will read.  The
+        batched pipeline routes the uncached keys into one block and scores
+        it like the trip's products (:meth:`_score_block`); the scalar
+        pipeline scores them step by step.  The floats equal one-pair
+        :meth:`transition` calls because the fusion forward is
+        batch-invariant.
         """
         cache = self._pt_cache
-        fresh = list(
-            dict.fromkeys(pair for pair in pairs if (index, *pair) not in cache)
-        )
-        if fresh:
-            for pair, value in zip(fresh, self._compute_transitions(index, fresh)):
-                cache[(index, pair[0], pair[1])] = value
-        return np.array([cache[(index, a, b)] for a, b in pairs], dtype=np.float64)
+        fresh = [key for key in dict.fromkeys(keys) if key not in cache]
+        if fresh and self._matcher.config.pipeline_impl == "batched":
+            block = route_block(self._matcher.engine, [(a, b) for _, a, b in fresh])
+            straight = np.array([self._straight[i - 1] for i, _, _ in fresh])
+            cache.update(zip(fresh, self._score_block(block, straight).tolist()))
+        elif fresh:
+            by_step: dict[int, list[tuple[int, int]]] = {}
+            for index, a, b in fresh:
+                by_step.setdefault(index, []).append((a, b))
+            for index, pairs in by_step.items():
+                values = self._compute_transitions(index, pairs)
+                cache.update(((index, a, b), v) for (a, b), v in zip(pairs, values))
+        return np.array([cache[key] for key in keys], dtype=np.float64)
 
     def _compute_transitions(
         self,
@@ -329,41 +342,35 @@ class _LHMMScorer:
         pairs: list[tuple[int, int]],
         routes: list[Route | None] | None = None,
     ) -> list[float]:
+        """Scalar pipeline: ``P_T`` of one step's ``pairs``, route by route.
+
+        Without ``routes`` the pairs are off the routed candidate products
+        (shortcut insertions): they are routed with one batched query and
+        their relevance is topped up first.
+        """
         matcher = self._matcher
-        values = [UNREACHABLE_SCORE] * len(pairs)
         if routes is None:
-            # Pairs outside the routed candidate products (shortcut
-            # insertions): one batched query, then top up their relevance.
             routes = route_pairs(matcher.engine, pairs)
             if self._relevance is not None:
                 self._score_relevance(_roads(routes))
         relevance = self._relevance
-        if matcher.config.pipeline_impl == "batched":
-            row_matrix, row_positions = transition_feature_rows(
-                matcher.network,
-                routes,
-                self._points[index - 1],
-                self._points[index],
-                relevance=relevance,
+        values = [UNREACHABLE_SCORE] * len(pairs)
+        rows: list[np.ndarray] = []
+        row_positions = []
+        for pos, route in enumerate(routes):
+            if route is None:
+                continue
+            explicit = transition_features(
+                matcher.network, route, self._points[index - 1], self._points[index]
             )
-        else:
-            rows: list[np.ndarray] = []
-            row_positions = []
-            for pos, route in enumerate(routes):
-                if route is None:
-                    continue
-                explicit = transition_features(
-                    matcher.network, route, self._points[index - 1], self._points[index]
-                )
-                if relevance is not None:
-                    implicit = float(np.mean([relevance[s] for s in route.segments]))
-                    rows.append(np.concatenate([[implicit], explicit]))
-                else:
-                    rows.append(explicit)
-                row_positions.append(pos)
-            row_matrix = np.stack(rows) if rows else np.empty((0, 0))
-        if row_matrix.shape[0]:
-            probs = matcher._transition_probs(row_matrix)
+            if relevance is not None:
+                implicit = float(np.mean([relevance[s] for s in route.segments]))
+                rows.append(np.concatenate([[implicit], explicit]))
+            else:
+                rows.append(explicit)
+            row_positions.append(pos)
+        if rows:
+            probs = matcher._transition_probs(np.stack(rows))
             for pos, prob in zip(row_positions, probs.tolist()):
                 values[pos] = prob
         return values

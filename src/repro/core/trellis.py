@@ -19,8 +19,8 @@ Two interchangeable backends implement the forward pass:
 * :class:`VectorizedTrellis` — assembles each step's ``W`` as a numpy
   matrix (one batched router/MLP call per layer when the scorer supports
   :class:`BatchTrellisScorer`), runs the forward pass as log-domain
-  max-plus updates with integer backpointers, and runs the shortcut pass
-  one layer at a time in batched phases.
+  max-plus updates with integer backpointers, and plans the shortcut
+  pass once per trajectory in batched phases.
 
 Both must decode the *same* sequence with the same tie-breaking (first
 candidate in set order wins ties) and the same disconnected-lattice restart
@@ -41,7 +41,7 @@ score was computed with.
 from __future__ import annotations
 
 import math
-from typing import Protocol, runtime_checkable
+from typing import Iterable, Protocol, Sequence, runtime_checkable
 
 import numpy as np
 
@@ -49,7 +49,8 @@ from repro.cellular.trajectory import TrajectoryPoint
 from repro.errors import InvalidTrajectoryInput, MatchFailure
 from repro.geometry import Point
 from repro.network.road_network import RoadNetwork
-from repro.network.router import Router, route_pairs
+from repro.network.router import Router, route_block
+from repro.network.shortest_path import RouteBlock
 
 UNREACHABLE_SCORE = -1e6
 
@@ -85,12 +86,13 @@ class BatchTrellisScorer(Protocol):
     would — the vectorized backend's bit-parity with the reference depends
     on it (batch the *fetching*, keep the arithmetic identical).
 
-    A scorer may also define ``transition_pairs(index, pairs)``: ``P_T``
-    for arbitrary ``(prev, cur)`` pairs of step ``index``, aligned with
-    ``pairs``.  The shortcut pass then scores each layer's off-lattice
-    transitions in one call per step instead of one call per pair.  It is
-    optional (not part of the runtime check), and bound by the same
-    contract: the floats of one-pair :meth:`TrellisScorer.transition` calls.
+    A scorer may also define ``transition_pairs(keys)``: ``P_T`` for
+    arbitrary ``(step, prev, cur)`` keys, across any number of steps,
+    aligned with ``keys``.  The shortcut pass then scores the off-lattice
+    transitions of every layer it plans in one call, instead of one call
+    per pair.  It is optional (not part of the runtime check), and bound
+    by the same contract: the floats of one-pair
+    :meth:`TrellisScorer.transition` calls.
     """
 
     def observation_batch(self, index: int, segment_ids: list[int]) -> np.ndarray:
@@ -146,27 +148,31 @@ def viterbi_layer(
 
 
 def closest_segments(
-    network: RoadNetwork, position: Point, routes: list[tuple[int, ...]]
+    network: RoadNetwork, block: RouteBlock, positions: Sequence[Point]
 ) -> list[int]:
-    """Alg. 2 line 5 for many routes: each route's segment closest to ``position``.
+    """Alg. 2 line 5 for a block of routes: each route's road closest to its point.
 
-    One stacked :meth:`RoadNetwork.point_segment_distances` pass over every
-    route's segments.  Those are the exact scalar ``distance_to`` floats,
-    and ties keep the first minimum in route order, so each winner is the
-    reference's ``min(route, key=distance_to)``.  Routes must be non-empty.
+    ``positions`` holds one point per block entry.  One stacked
+    :meth:`RoadNetwork.point_segment_distances` pass covers every route's
+    segments, each against its own route's point.  Those are the exact
+    scalar ``distance_to`` floats, and ties keep the first minimum in route
+    order, so each winner is the reference's ``min(route, key=distance_to)``.
+    Returns one road per non-empty route, in block order.
     """
-    lengths = [len(route) for route in routes]
-    flat = [seg for route in routes for seg in route]
-    n = len(flat)
+    counts = np.diff(block.offsets)
+    n = int(block.offsets[-1])
+    if n == 0:
+        return []
     distances = network.point_segment_distances(
-        np.full(n, position.x), np.full(n, position.y), flat
+        np.repeat([p.x for p in positions], counts),
+        np.repeat([p.y for p in positions], counts),
+        block.segment_ids,
     )
-    owner = np.repeat(np.arange(len(routes)), lengths)
+    owner = np.repeat(np.arange(len(counts)), counts)
     # Sort by route, then distance, then position in the route: each
-    # route's first entry is its first minimum.
+    # route's first entry (at its block offset) is its first minimum.
     order = np.lexsort((np.arange(n), distances, owner))
-    starts = np.cumsum([0, *lengths[:-1]])
-    return [flat[k] for k in order[starts].tolist()]
+    return block.segment_ids[order[block.offsets[:-1][counts > 0]]].tolist()
 
 
 class Trellis:
@@ -331,7 +337,7 @@ class VectorizedTrellis(Trellis):
     same floats, ``argmax`` keeps the reference's first-wins tie-breaking,
     all-unreachable columns leave no backpointer (the disconnected-lattice
     restart), and the shortcut pass (:meth:`_apply_shortcuts`) batches its
-    fetching per layer but applies shortcuts in the reference's order.
+    fetching per trajectory but applies shortcuts in the reference's order.
     """
 
     def __init__(self, *args, **kwargs) -> None:
@@ -371,27 +377,29 @@ class VectorizedTrellis(Trellis):
         self._w_cache[key] = score
         return score
 
-    def _prefetch(self, index: int, pairs: list[tuple[int, int]]) -> None:
-        """Fetch ``P_T`` for the pairs ``_w`` cannot answer yet, in one call.
+    def _prefetch(self, keys: Iterable[tuple[int, int, int]]) -> None:
+        """Fetch ``P_T`` for the ``(step, prev, seg)`` keys ``_w`` cannot answer yet.
 
-        A no-op for scorers without ``transition_pairs``: ``_w`` then asks
-        their scalar ``transition`` pair by pair, as the reference does.
+        One ``transition_pairs`` call for all of them.  A no-op for scorers
+        without that hook: ``_w`` then asks their scalar ``transition``
+        pair by pair, as the reference does.
         """
         fetch = getattr(self.scorer, "transition_pairs", None)
         if fetch is None:
             return
-        prev_pos, cur_pos, _ = self._w_steps[index]
-        fresh = [
-            (a, b)
-            for a, b in dict.fromkeys(pairs)
-            if (index, a, b) not in self._w_cache
-            and (index, a, b) not in self._prefetched
-            and not (a in prev_pos and b in cur_pos)
-        ]
+        fresh = []
+        for key in dict.fromkeys(keys):
+            index, a, b = key
+            prev_pos, cur_pos, _ = self._w_steps[index]
+            if not (
+                key in self._w_cache
+                or key in self._prefetched
+                or (a in prev_pos and b in cur_pos)
+            ):
+                fresh.append(key)
         if fresh:
-            values = np.asarray(fetch(index, fresh), dtype=np.float64).tolist()
-            for (a, b), value in zip(fresh, values):
-                self._prefetched[(index, a, b)] = value
+            values = np.asarray(fetch(fresh), dtype=np.float64).tolist()
+            self._prefetched.update(zip(fresh, values))
 
     # ---------------------------------------------------------------- scoring
     def _observation_batch(self, index: int, segments: list[int]) -> np.ndarray:
@@ -442,74 +450,107 @@ class VectorizedTrellis(Trellis):
             self._f[i], self._pre[i], f_prev = viterbi_layer(f_prev, w, prev, cur)
 
     # -------------------------------------------------------------- shortcuts
-    def _apply_shortcuts(self, shortcut_k: int) -> None:
-        """Alg. 2, one layer at a time in fixed phases.
+    def _inserted_rows(self, index: int, inserted: list[int]) -> np.ndarray:
+        """``W`` rows of step ``index`` for two-hop predecessors the pass inserted.
 
-        At layer ``i``:
-
-        1. Rank the two-hop predecessors of every candidate (Eq. 20) with
-           one broadcast max over the retained ``W`` matrices of steps
-           ``i-1`` and ``i``.  Their rows and columns are the forward
-           pass's layer ``i-1`` candidates, because shortcut insertion
-           appends to layer ``i-1`` only *while* processing layer ``i``.
-           Two-hop predecessors inserted while processing layer ``i-1``
-           get extra ``W`` rows, fetched in one batched call.
-        2. Route every candidate's top-k ``(j, seg)`` pairs in one
-           :func:`~repro.network.router.route_pairs` call.
-        3. Pick each route's road closest to point ``i-1`` (line 5) in one
-           stacked distance pass (:func:`closest_segments`).
-        4. Fetch every transition the update reads — ``(j, u)`` at step
-           ``i-1`` and ``(u, seg)`` at step ``i`` — in one call per step.
-        5. Apply the shortcuts in the reference's order, reading caches.
-           Observations of inserted roads stay scalar and in that order,
-           because each new road is scored against its point's pool,
-           which grows as roads are inserted.
+        Their columns are the forward pass's layer ``index`` candidates.
+        A batched scorer fetches the ``P_T`` block with one
+        ``transition_batch`` call; ``_w`` then applies Eq. 13 and caches.
         """
-        if any(i not in self._w_steps for i in range(1, len(self.points))):
+        cur = self.candidate_sets[index]
+        if self._batched:
+            trans = np.asarray(
+                self.scorer.transition_batch(index, inserted, cur), dtype=np.float64
+            ).tolist()
+            self._prefetched.update(
+                ((index, j, l), value)
+                for j, row in zip(inserted, trans)
+                for l, value in zip(cur, row)
+            )
+        return np.array(
+            [[self._w(index, j, l) for l in cur] for j in inserted], dtype=np.float64
+        )
+
+    def _plan_shortcuts(
+        self, layers: Sequence[int], shortcut_k: int
+    ) -> dict[int, list[tuple[int, int, int]]]:
+        """Alg. 2's candidate shortcuts ``(j, seg, u)`` for ``layers``, in batched phases.
+
+        1. Rank every candidate's two-hop predecessors (Eq. 20) with one
+           broadcast max over the retained ``W`` matrices of steps ``i-1``
+           and ``i``.  Two-hop predecessors inserted while processing
+           layer ``i-1`` get extra ``W`` rows (:meth:`_inserted_rows`).
+        2. Route every layer's top-k ``(j, seg)`` pairs in one
+           :func:`~repro.network.router.route_block` call.
+        3. Pick each route's road closest to its own point ``i-1``
+           (line 5) in one stacked distance pass (:func:`closest_segments`).
+        4. Fetch every transition the updates read — ``(j, u)`` at step
+           ``i-1`` and ``(u, seg)`` at step ``i`` — in one scorer call.
+
+        A layer's plan reads only the ``W`` matrices and the current
+        ``candidate_sets[i-2]``; each layer lists its shortcuts in the
+        reference's order.
+        """
+        chosen: list[tuple[int, int, int]] = []
+        for i in layers:
+            prev2 = self.candidate_sets[i - 2]
+            prev2_pos, _, w1 = self._w_steps[i - 1]
+            w2 = self._w_steps[i][2]
+            # Roads inserted into layer i-2 follow its forward candidates.
+            inserted = prev2[len(prev2_pos) :]
+            if inserted:
+                w1 = np.vstack([w1, self._inserted_rows(i - 1, inserted)])
+            # w1 columns and w2 rows are both indexed by the forward pass's
+            # layer i-1 candidates, in the same order, so the two-step score
+            # of (j, l, seg) is w1[j, l] + w2[l, seg].
+            best_two = np.max(w1[:, :, None] + w2[None, :, :], axis=1)
+            # The reference sorts (score, j) tuples in reverse: best score
+            # first, ties to the larger road id.
+            ids = np.array(prev2, dtype=np.int64)
+            order = np.lexsort(
+                (-np.broadcast_to(ids[:, None], best_two.shape), -best_two), axis=0
+            )
+            top = ids[order[:shortcut_k]].T.tolist()
+            for seg, predecessors in zip(self.candidate_sets[i], top):
+                chosen.extend((i, j, seg) for j in predecessors)
+        block = route_block(self.engine, [(j, seg) for _, j, seg in chosen])
+        live = np.flatnonzero(np.diff(block.offsets) > 0).tolist()
+        closest = closest_segments(
+            self.network, block, [self.points[i - 1].position for i, _, _ in chosen]
+        )
+        plans: dict[int, list[tuple[int, int, int]]] = {i: [] for i in layers}
+        for r, u in zip(live, closest):
+            i, j, seg = chosen[r]
+            plans[i].append((j, seg, u))
+        self._prefetch(
+            key
+            for i, shortcuts in plans.items()
+            for j, seg, u in shortcuts
+            for key in ((i - 1, j, u), (i, u, seg))
+        )
+        return plans
+
+    def _apply_shortcuts(self, shortcut_k: int) -> None:
+        """Alg. 2, planned once per trajectory, applied in the reference's order.
+
+        :meth:`_plan_shortcuts` plans every layer at once.  A layer's plan
+        depends only on the ``W`` matrices and its two-hop set
+        ``candidate_sets[i-2]``, which grows only while layer ``i-1`` is
+        applied; a layer whose two-hop set grew is planned again, alone,
+        just before it is applied.  The updates then only read caches.
+        Observations of inserted roads stay scalar and in the reference's
+        order, because each new road is scored against its point's pool,
+        which grows as roads are inserted.
+        """
+        n = len(self.points)
+        if any(i not in self._w_steps for i in range(1, n)):
             super()._apply_shortcuts(shortcut_k)
             return
-        n = len(self.points)
+        plans = self._plan_shortcuts(range(2, n), shortcut_k)
         for i in range(2, n):
-            prev_candidates = list(self.candidate_sets[i - 1])
-            prev2_candidates = list(self.candidate_sets[i - 2])
-            prev2_pos, _, w1 = self._w_steps[i - 1]
-            _, cur_pos, w2 = self._w_steps[i]
-            inserted = [j for j in prev2_candidates if j not in prev2_pos]
-            if inserted:
-                self._prefetch(
-                    i - 1, [(j, l) for j in inserted for l in prev_candidates]
-                )
-                extra = [[self._w(i - 1, j, l) for l in prev_candidates] for j in inserted]
-                w1 = np.vstack([w1, np.array(extra, dtype=np.float64)])
-            row_of = dict(prev2_pos)
-            row_of.update((j, len(prev2_pos) + r) for r, j in enumerate(inserted))
-            # w1 columns and w2 rows are both indexed by the original layer
-            # i-1 candidates, in the same order, so the two-step score of
-            # (j, l, seg) is w1[j, l] + w2[l, seg].
-            best_two = np.max(w1[:, :, None] + w2[None, :, :], axis=1).tolist()
-            chosen: list[tuple[int, int]] = []
-            for seg in self.candidate_sets[i]:
-                col = cur_pos[seg]
-                ranked = sorted(
-                    ((best_two[row_of[j]][col], j) for j in prev2_candidates),
-                    reverse=True,
-                )
-                chosen.extend((j_seg, seg) for _, j_seg in ranked[:shortcut_k])
-            routes = route_pairs(self.engine, chosen)
-            live = [
-                (pair, route.segments)
-                for pair, route in zip(chosen, routes)
-                if route is not None and len(route.segments) > 0
-            ]
-            if not live:
-                continue
-            closest = closest_segments(
-                self.network, self.points[i - 1].position, [r for _, r in live]
-            )
-            shortcuts = [(j, seg, u) for ((j, seg), _), u in zip(live, closest)]
-            self._prefetch(i - 1, [(j, u) for j, _, u in shortcuts])
-            self._prefetch(i, [(u, seg) for _, seg, u in shortcuts])
-            for j_seg, seg, u_seg in shortcuts:
+            if len(self.candidate_sets[i - 2]) > len(self._w_steps[i - 1][0]):
+                plans.update(self._plan_shortcuts([i], shortcut_k))
+            for j_seg, seg, u_seg in plans[i]:
                 w_in = self._w(i - 1, j_seg, u_seg)
                 w_out = self._w(i, u_seg, seg)
                 if w_in <= UNREACHABLE_SCORE or w_out <= UNREACHABLE_SCORE:

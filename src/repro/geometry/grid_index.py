@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
+from itertools import product
 from typing import Generic, Hashable, Iterable, TypeVar
 
 from repro.geometry.point import Point, euclidean
@@ -30,12 +31,6 @@ class GridIndex(Generic[T]):
         self.cell_size = float(cell_size)
         self._cells: dict[tuple[int, int], set[T]] = defaultdict(set)
         self._locations: dict[T, list[Point]] = defaultdict(list)
-        # Occupied-cell bounding box (min_cx, max_cx, min_cy, max_cy); lazy,
-        # reset on insert.  Used to collapse equivalent box queries.
-        self._bounds: tuple[int, int, int, int] | None = None
-        # Persistent box-query memo for items_in_boxes (reset on insert).
-        self._box_cache: dict[tuple[int, int, int, int, bool], set[T]] = {}
-        self._box_cache_max = 50_000
 
     def _cell_of(self, p: Point) -> tuple[int, int]:
         return (math.floor(p.x / self.cell_size), math.floor(p.y / self.cell_size))
@@ -44,9 +39,6 @@ class GridIndex(Generic[T]):
         """Register ``item`` as present at ``point``."""
         self._cells[self._cell_of(point)].add(item)
         self._locations[item].append(point)
-        self._bounds = None
-        if self._box_cache:
-            self._box_cache.clear()
 
     def insert_many(self, item: T, points: Iterable[Point]) -> None:
         """Register ``item`` at several representative points."""
@@ -120,75 +112,33 @@ class GridIndex(Generic[T]):
         return set(self._candidates_in_box(center, radius))
 
     def items_in_boxes(self, centers: Iterable[Point], radius: float) -> list[set[T]]:
-        """:meth:`items_in_box` for many centers, one cell walk per distinct box.
-
-        Consecutive trajectory points usually snap to the same cell box;
-        answering each distinct box once turns the per-point cell walk into
-        a dict probe.  Each returned set equals the per-point call exactly
-        (cell boxes are a pure function of the box bounds); callers must
-        not mutate the returned sets, which may be shared between entries.
-        """
-        cache = self._box_cache
-        if len(cache) > self._box_cache_max:
-            cache.clear()
-        min_cx, max_cx, min_cy, max_cy = self._occupied_bounds()
-        out: list[set[T]] = []
-        for center in centers:
-            lo_x = math.floor((center.x - radius) / self.cell_size)
-            hi_x = math.floor((center.x + radius) / self.cell_size)
-            lo_y = math.floor((center.y - radius) / self.cell_size)
-            hi_y = math.floor((center.y + radius) / self.cell_size)
-            # Clamping the key to the occupied-cell bounds collapses boxes
-            # that cover the same occupied cells into one cache entry; cells
-            # outside the bounds are empty, so the union is unchanged.  The
-            # large-box flag stays in the key because the two scan branches
-            # insert in different orders (and set iteration order depends on
-            # construction, which candidate retrieval relies on matching).
-            large = (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(self._cells)
-            key = (
-                max(lo_x, min_cx),
-                min(hi_x, max_cx),
-                max(lo_y, min_cy),
-                min(hi_y, max_cy),
-                large,
-            )
-            found = cache.get(key)
-            if found is None:
-                # Copy exactly like items_in_box does: iteration order of a
-                # set depends on its construction, and callers (candidate
-                # retrieval) rely on matching the per-point call's ordering.
-                found = set(self._candidates_in_box(center, radius))
-                cache[key] = found
-            out.append(found)
-        return out
-
-    def _occupied_bounds(self) -> tuple[int, int, int, int]:
-        """Bounding box of occupied cells (lazy; reset by :meth:`insert`)."""
-        if self._bounds is None:
-            if not self._cells:
-                self._bounds = (0, -1, 0, -1)
-            else:
-                xs = [cx for cx, _ in self._cells]
-                ys = [cy for _, cy in self._cells]
-                self._bounds = (min(xs), max(xs), min(ys), max(ys))
-        return self._bounds
+        """:meth:`items_in_box` for many centers, aligned with ``centers``."""
+        return [set(self._candidates_in_box(center, radius)) for center in centers]
 
     def _candidates_in_box(self, center: Point, radius: float) -> set[T]:
         lo_x = math.floor((center.x - radius) / self.cell_size)
         hi_x = math.floor((center.x + radius) / self.cell_size)
         lo_y = math.floor((center.y - radius) / self.cell_size)
         hi_y = math.floor((center.y + radius) / self.cell_size)
+        # One update over the occupied cells, in (cx, cy) walk order: the
+        # same merges, in the same order, as one update per cell, so the
+        # set's iteration order (which candidate retrieval relies on) is
+        # unchanged.
         found: set[T] = set()
-        box_cells = (hi_x - lo_x + 1) * (hi_y - lo_y + 1)
-        if box_cells > len(self._cells):
+        if (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(self._cells):
             # Large box: scanning the occupied cells beats walking the box.
-            for (cx, cy), cell in self._cells.items():
-                if lo_x <= cx <= hi_x and lo_y <= cy <= hi_y:
-                    found.update(cell)
+            found.update(
+                *(
+                    cell
+                    for (cx, cy), cell in self._cells.items()
+                    if lo_x <= cx <= hi_x and lo_y <= cy <= hi_y
+                )
+            )
             return found
-        for cx in range(lo_x, hi_x + 1):
-            for cy in range(lo_y, hi_y + 1):
-                cell = self._cells.get((cx, cy))
-                if cell:
-                    found.update(cell)
+        # product() walks cx-major, cy-minor, like the nested loops would;
+        # filter() drops missing (None) and empty cells.
+        cells = map(
+            self._cells.get, product(range(lo_x, hi_x + 1), range(lo_y, hi_y + 1))
+        )
+        found.update(*filter(None, cells))
         return found

@@ -1,5 +1,7 @@
 """Tests for repro.geometry.grid_index."""
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -85,3 +87,67 @@ class TestGridIndex:
         centre = Point(0, 0)
         expected = {i for i, p in enumerate(points) if centre.distance_to(p) <= radius}
         assert set(index.query_radius(centre, radius)) == expected
+
+
+def _per_cell_box(index: GridIndex, center: Point, radius: float) -> set:
+    """The box answer built one ``set.update`` per cell, then copied the way
+    ``items_in_box`` copies: the iteration-order oracle for both branches."""
+    size = index.cell_size
+    lo_x = math.floor((center.x - radius) / size)
+    hi_x = math.floor((center.x + radius) / size)
+    lo_y = math.floor((center.y - radius) / size)
+    hi_y = math.floor((center.y + radius) / size)
+    found: set = set()
+    if (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(index._cells):
+        for (cx, cy), cell in index._cells.items():
+            if lo_x <= cx <= hi_x and lo_y <= cy <= hi_y:
+                found.update(cell)
+    else:
+        for cx in range(lo_x, hi_x + 1):
+            for cy in range(lo_y, hi_y + 1):
+                cell = index._cells.get((cx, cy))
+                if cell:
+                    found.update(cell)
+    return set(found)
+
+
+class TestBoxOrder:
+    """Candidate retrieval sorts box answers stably, so equal-distance roads
+    come out in set-iteration order: the box sets must keep the order the
+    per-cell walk gives.  Large integer ids collide in small hash tables,
+    so that order depends on how each set was built."""
+
+    # Radius 0 is always the small-box walk (one cell, at least one
+    # occupied); 10 km is always the large-box scan (more cells than any
+    # grid below occupies).
+    RADII = (0.0, 150.0, 400.0, 10_000.0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([k * 2**20 + k % 3 for k in range(1, 40)]),
+                st.floats(-1000, 1000, allow_nan=False),
+                st.floats(-1000, 1000, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=60,
+        ),
+        st.lists(
+            st.tuples(
+                st.floats(-1200, 1200, allow_nan=False),
+                st.floats(-1200, 1200, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+    )
+    def test_box_sets_keep_the_per_cell_order(self, items, centers):
+        index: GridIndex[int] = GridIndex(100)
+        for item, x, y in items:
+            index.insert(item, Point(x, y))
+        centers = [Point(x, y) for x, y in centers]
+        for radius in self.RADII:
+            singles = [list(index.items_in_box(c, radius)) for c in centers]
+            assert singles == [list(_per_cell_box(index, c, radius)) for c in centers]
+            assert [list(box) for box in index.items_in_boxes(centers, radius)] == singles

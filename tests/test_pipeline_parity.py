@@ -24,7 +24,6 @@ def _reset_caches(matcher) -> None:
     network = matcher.network
     network._near_memo.clear()
     network._route_turns.clear()
-    network._index._box_cache.clear()
     matcher._pool_cache_obj = None
 
 

@@ -27,6 +27,7 @@ from repro.core.trellis import (
 )
 from repro.geometry import Point
 from repro.network import ShortestPathEngine, Ubodt, UbodtRouter
+from repro.network.shortest_path import Route, RouteBlock
 from tests.test_core_trellis import TableScorer, chain_network, points
 from tests.test_spatial_batch_property import query_points, random_networks
 
@@ -59,17 +60,18 @@ class BatchTableScorer(TableScorer):
 class PairsTableScorer(BatchTableScorer):
     """Batched table scorer with the optional ``transition_pairs`` hook.
 
-    Records every hook call as ``(index, pairs)``.
+    Records every hook call's ``(step, prev, seg)`` keys.
     """
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
-        self.pair_calls: list[tuple[int, list[tuple[int, int]]]] = []
+        self.pair_calls: list[list[tuple[int, int, int]]] = []
 
-    def transition_pairs(self, index, pairs):
-        self.pair_calls.append((index, list(pairs)))
+    def transition_pairs(self, keys):
+        self.pair_calls.append(list(keys))
         return np.array(
-            [self.transition(index, prev, seg) for prev, seg in pairs], dtype=np.float64
+            [self.transition(index, prev, seg) for index, prev, seg in keys],
+            dtype=np.float64,
         )
 
 
@@ -256,8 +258,22 @@ class TestRandomizedParity:
             make_trellis([[0]], TableScorer(), net, engine, points(1), impl="numpy")
 
 
+def spy_plans(monkeypatch) -> list[dict[int, list[tuple[int, int, int]]]]:
+    """Record every shortcut plan the vectorized trellis makes, in order."""
+    plans = []
+    original = VectorizedTrellis._plan_shortcuts
+
+    def spy(self, layers, shortcut_k):
+        plan = original(self, layers, shortcut_k)
+        plans.append(plan)
+        return plan
+
+    monkeypatch.setattr(VectorizedTrellis, "_plan_shortcuts", spy)
+    return plans
+
+
 class TestShortcutPhases:
-    """The layer-phased shortcut pass against the reference, on lattices
+    """The per-trip shortcut plan against the reference, on lattices
     where inserted roads become two-hop predecessors."""
 
     @staticmethod
@@ -290,19 +306,58 @@ class TestShortcutPhases:
 
     @pytest.mark.parametrize("shortcut_k", (1, 2, 3))
     @pytest.mark.parametrize("seed", range(12))
-    def test_at_most_three_pair_calls_per_layer(self, seed, shortcut_k):
+    def test_at_most_three_pair_calls_per_layer(self, seed, shortcut_k, monkeypatch):
+        """Tighter than the name: one hook call per plan, so one per trip
+        plus one per layer planned again."""
+        plans = spy_plans(monkeypatch)
         _, scorer, n_points = self._run_pair(seed, shortcut_k, PairsTableScorer)
-        layers = n_points - 2
+        # One plan for every layer, then one more per layer whose two-hop
+        # set grew; these lattices always grow one.
+        assert list(plans[0]) == list(range(2, n_points))
+        replanned = plans[1:]
+        assert replanned, "no layer was planned again"
+        assert all(len(plan) == 1 for plan in replanned)
         calls = scorer.pair_calls
         assert calls, "the shortcut pass fetched nothing in batch"
-        assert len(calls) <= 3 * layers
-        # Step x is read by layer x (the (u, seg) pairs) and by layer x+1
-        # (inserted two-hop rows, then the (j, u) pairs).
-        per_step: dict[int, int] = {}
-        for index, pairs in calls:
-            assert pairs and len(set(pairs)) == len(pairs)
-            per_step[index] = per_step.get(index, 0) + 1
-        assert all(count <= 3 for count in per_step.values())
+        assert len(calls) <= 1 + len(replanned)
+        for keys in calls:
+            assert keys and len(set(keys)) == len(keys)
+
+    @pytest.mark.parametrize("shortcut_k", (1, 2, 3))
+    def test_one_pair_call_per_trip_without_replanning(self, shortcut_k, monkeypatch):
+        """On random lattices that plan no layer again, the pass makes
+        exactly one hook call when its plan reads a transition the forward
+        matrices lack (a closest road off layer ``i-1``), else none."""
+        net = chain_network(N_SEGMENTS)
+        engine = ShortestPathEngine(net)
+        plans = spy_plans(monkeypatch)
+        single_call_trips = 0
+        for seed in range(40):
+            n_points, candidate_sets, obs, trans = random_lattice(seed)
+            if n_points < 3:
+                continue
+            pts = points(n_points)
+            plans.clear()
+            ref, ref_seq = run_impl(
+                "reference", candidate_sets, TableScorer(obs, trans), shortcut_k,
+                net, engine, pts,
+            )
+            scorer = PairsTableScorer(obs, trans)
+            vec, vec_seq = run_impl(
+                "vectorized", candidate_sets, scorer, shortcut_k, net, engine, pts
+            )
+            assert_trellis_equal(ref, vec, ref_seq, vec_seq)
+            if len(plans) > 1:
+                assert len(scorer.pair_calls) <= len(plans)
+                continue
+            off_lattice = any(
+                u not in candidate_sets[i - 1]
+                for i, shortcuts in plans[0].items()
+                for _, _, u in shortcuts
+            )
+            assert len(scorer.pair_calls) == int(off_lattice)
+            single_call_trips += off_lattice
+        assert single_call_trips > 0
 
     @pytest.mark.parametrize("scorer_cls", (TableScorer, BatchTableScorer))
     @pytest.mark.parametrize("shortcut_k", (1, 2, 3))
@@ -313,37 +368,58 @@ class TestShortcutPhases:
 
 class TestClosestSegments:
     """The stacked Alg. 2 line 5 pass equals the reference's scalar
-    first-minimum ``min(route, key=distance_to)``, route by route."""
+    first-minimum ``min(route, key=distance_to)``, route by route, each
+    route against its own point."""
 
     @staticmethod
     def _scalar(net, position, route):
         return min(route, key=lambda seg: net.segments[seg].distance_to(position))
 
+    @staticmethod
+    def _block(routes):
+        return RouteBlock.from_routes(
+            [None if route is None else Route(route, 0.0) for route in routes]
+        )
+
     @settings(max_examples=80, deadline=None)
-    @given(random_networks(), query_points, st.data())
-    def test_equals_scalar_first_minimum(self, net, positions, data):
+    @given(random_networks(), st.data())
+    def test_equals_scalar_first_minimum(self, net, data):
         # Grid-aligned geometry, parallel duplicate roads and repeated ids
-        # make exact distance ties common.
+        # make exact distance ties common; missing routes get no winner.
         ids = sorted(net.segments)
         routes = data.draw(
             st.lists(
-                st.lists(st.sampled_from(ids), min_size=1, max_size=40).map(tuple),
+                st.none()
+                | st.lists(st.sampled_from(ids), min_size=1, max_size=40).map(tuple),
                 min_size=1,
                 max_size=6,
             )
         )
-        for position in positions:
-            expected = [self._scalar(net, position, route) for route in routes]
-            assert closest_segments(net, position, routes) == expected
+        drawn = data.draw(query_points)
+        positions = [drawn[r % len(drawn)] for r in range(len(routes))]
+        expected = [
+            self._scalar(net, position, route)
+            for position, route in zip(positions, routes)
+            if route is not None
+        ]
+        assert closest_segments(net, self._block(routes), positions) == expected
 
     def test_exact_ties_keep_the_first_road(self):
         net = chain_network(N_SEGMENTS)
         node = Point(300.0, 0.0)  # the shared end of segments 2 and 3
         routes = [(3, 2), (2, 3), (1, 2, 3, 4), (4, 3, 2, 1), (5,)]
-        assert closest_segments(net, node, routes) == [3, 2, 2, 3, 5]
-        assert closest_segments(net, node, routes) == [
-            self._scalar(net, node, route) for route in routes
-        ]
+        block = self._block(routes)
+        assert closest_segments(net, block, [node] * 5) == [3, 2, 2, 3, 5]
+        # Each route is measured against its own point.
+        far = Point(650.0, 0.0)  # inside segment 6
+        positions = [node, far, node, far, node]
+        assert closest_segments(net, block, positions) == [
+            self._scalar(net, p, route) for p, route in zip(positions, routes)
+        ] == [3, 3, 2, 4, 5]
+
+    def test_empty_block(self):
+        net = chain_network(N_SEGMENTS)
+        assert closest_segments(net, self._block([None, None]), [Point(0, 0)] * 2) == []
 
 
 class TestRouterBackedParity:
@@ -408,3 +484,39 @@ class TestLHMMParity:
             assert vec.path == ref.path
             assert vec.score == ref.score
             assert vec.candidate_sets == ref.candidate_sets
+
+    @pytest.mark.parametrize("shortcut_k", (2, 3))
+    def test_batched_pipeline_matches_scalar_reference(
+        self, trained_lhmm, tiny_dataset, shortcut_k
+    ):
+        """The per-trip shortcut plan at k > 1 through the full matcher:
+        batched pipeline + vectorized trellis against scalar + reference."""
+        matcher = trained_lhmm
+        trajectories = [s.cellular for s in tiny_dataset.samples[:8]]
+        config = matcher.config
+        saved = (config.pipeline_impl, config.trellis_impl, config.shortcut_k)
+        saved_degradation = matcher.degradation_enabled
+        results = {}
+        try:
+            matcher.degradation_enabled = False
+            config.shortcut_k = shortcut_k
+            for pipeline_impl, trellis_impl in (
+                ("scalar", "reference"),
+                ("batched", "vectorized"),
+            ):
+                config.pipeline_impl = pipeline_impl
+                config.trellis_impl = trellis_impl
+                results[pipeline_impl] = [matcher.match(t) for t in trajectories]
+        finally:
+            config.pipeline_impl, config.trellis_impl, config.shortcut_k = saved
+            matcher.degradation_enabled = saved_degradation
+        for ref, got in zip(results["scalar"], results["batched"]):
+            assert got.matched_sequence == ref.matched_sequence
+            assert got.path == ref.path
+            assert got.score == ref.score
+            assert got.candidate_sets == ref.candidate_sets
+        # The shortcut pass inserted roads beyond the top-k candidates.
+        assert any(
+            len(c) > config.candidate_k for r in results["batched"] for c in r.candidate_sets
+        )
+
