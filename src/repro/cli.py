@@ -546,7 +546,6 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     matcher.engine.clear_cache()
     network = matcher.network
     network._near_memo.clear()
-    network._route_turns.clear()
     matcher._pool_cache_obj = None
 
     profiler = cProfile.Profile()

@@ -113,22 +113,38 @@ class CandidatePoolCache:
         # depends on the tower alone.
         return (point.tower_id, point.position.x, point.position.y)
 
+    def _cached(self, cache: dict, keys: list, compute) -> list:
+        """``cache[key]`` for every key; misses filled by one ``compute`` call.
+
+        ``compute(indices)`` gets the first index of each distinct missing
+        key and returns their values in that order.  The answer is gathered
+        from this call's own lookups and results, so a full map cleared
+        mid-call to hold its bound still answers every key.
+        """
+        found: dict = {}
+        misses: dict = {}
+        for i, key in enumerate(keys):
+            if key in found or key in misses:
+                continue
+            value = cache.get(key)
+            if value is None:
+                misses[key] = i
+            else:
+                found[key] = value
+        if misses:
+            for key, value in zip(misses, compute(list(misses.values()))):
+                if len(cache) >= self.max_entries:
+                    cache.clear()
+                cache[key] = found[key] = value
+        return [found[key] for key in keys]
+
     def pools(self, points: Sequence[TrajectoryPoint]) -> list[list[int]]:
         """Candidate pools for all points, batch-resolving cache misses."""
         keys = [self._key(p) for p in points]
-        miss_order: list[int] = []
-        seen_miss: set[tuple[int | None, float, float]] = set()
-        for i, key in enumerate(keys):
-            if key not in self._pools and key not in seen_miss:
-                seen_miss.add(key)
-                miss_order.append(i)
-        if miss_order:
-            self._resolve_misses([points[i] for i in miss_order])
-        return [list(self._pools[key]) for key in keys]
-
-    def pool(self, point: TrajectoryPoint) -> list[int]:
-        """Candidate pool for one point (streaming entry point)."""
-        return self.pools([point])[0]
+        pools = self._cached(
+            self._pools, keys, lambda idx: self._resolve([points[i] for i in idx])
+        )
+        return [list(pool) for pool in pools]
 
     def pools_features(
         self, points: Sequence[TrajectoryPoint], include_ranks: bool = True
@@ -148,64 +164,52 @@ class CandidatePoolCache:
         them per trajectory reproduces
         :func:`~repro.core.features.stacked_observation_features` exactly.
         """
-        from repro.core.features import stacked_observation_features
+        from repro.core.features import (
+            NUM_BASE_OBSERVATION_FEATURES,
+            NUM_OBSERVATION_FEATURES,
+            stacked_observation_features,
+        )
 
         pools = self.pools(points)
         keys = [self._key(p) for p in points]
-        miss_idx: list[int] = []
-        seen: set[tuple[int | None, float, float, bool]] = set()
-        for i, key in enumerate(keys):
-            fkey = (*key, include_ranks)
-            if fkey not in self._features and fkey not in seen:
-                seen.add(fkey)
-                miss_idx.append(i)
-        if miss_idx:
-            block, block_counts = stacked_observation_features(
+
+        def features(idx: list[int]) -> list[np.ndarray]:
+            block, counts = stacked_observation_features(
                 self.graph,
-                [points[i] for i in miss_idx],
-                [pools[i] for i in miss_idx],
+                [points[i] for i in idx],
+                [pools[i] for i in idx],
                 include_ranks=include_ranks,
             )
-            offset = 0
-            for i, count in zip(miss_idx, block_counts):
-                m = int(count)
-                if len(self._features) >= self.max_entries:
-                    self._features.clear()
-                self._features[(*keys[i], include_ranks)] = block[offset : offset + m]
-                offset += m
-        for i, key in enumerate(keys):
-            if key not in self._nodes:
-                if len(self._nodes) >= self.max_entries:
-                    self._nodes.clear()
-                self._nodes[key] = self.graph.segment_nodes(pools[i])
+            return np.split(block, np.cumsum(counts)[:-1])
+
+        blocks = self._cached(
+            self._features, [(*key, include_ranks) for key in keys], features
+        )
+        node_parts = self._cached(
+            self._nodes,
+            keys,
+            lambda idx: [self.graph.segment_nodes(pools[i]) for i in idx],
+        )
         counts = np.fromiter(
             (len(pool) for pool in pools), dtype=np.int64, count=len(pools)
         )
-        blocks = [self._features[(*key, include_ranks)] for key in keys]
-        node_parts = [self._nodes[key] for key in keys]
-        if blocks:
-            features = np.concatenate(blocks, axis=0)
-            node_idx = np.concatenate(node_parts)
-        else:
-            from repro.core.features import (
-                NUM_BASE_OBSERVATION_FEATURES,
-                NUM_OBSERVATION_FEATURES,
-            )
-
+        if not blocks:
             width = (
                 NUM_OBSERVATION_FEATURES
                 if include_ranks
                 else NUM_BASE_OBSERVATION_FEATURES
             )
-            features = np.empty((0, width), dtype=np.float64)
-            node_idx = np.empty(0, dtype=np.int64)
-        return pools, features, counts, node_idx
+            empty = np.empty((0, width), dtype=np.float64)
+            return pools, empty, counts, np.empty(0, dtype=np.int64)
+        return pools, np.concatenate(blocks, axis=0), counts, np.concatenate(node_parts)
 
-    def _resolve_misses(self, points: list[TrajectoryPoint]) -> None:
+    def _resolve(self, points: list[TrajectoryPoint]) -> list[tuple[int, ...]]:
+        """Learned pools of ``points`` via one stacked spatial query."""
         network = self.graph.network
         spatial = network.segments_near_many(
             [p.position for p in points], self.radius_m
         )
+        pools = []
         for point, near in zip(points, spatial):
             pool = list(near)
             if not pool:
@@ -222,6 +226,5 @@ class CandidatePoolCache:
                 known = self.graph.cooccurrence_extension(point.tower_id)
                 pool_set = set(pool)
                 pool.extend(seg for seg in known if seg not in pool_set)
-            if len(self._pools) >= self.max_entries:
-                self._pools.clear()
-            self._pools[self._key(point)] = tuple(pool)
+            pools.append(tuple(pool))
+        return pools

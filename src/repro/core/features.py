@@ -184,24 +184,6 @@ def route_turn_sums(
     return out
 
 
-def fill_route_turn_memo(network: RoadNetwork, missing: list[tuple[int, ...]]) -> None:
-    """Compute and memoise turn sums for many routes at once.
-
-    The memoised floats come from :func:`route_turn_sums`, so they equal
-    :func:`route_turn_sum_deg` bit for bit.
-    """
-    counts = np.fromiter(map(len, missing), dtype=np.int64, count=len(missing))
-    starts = np.zeros(len(missing), dtype=np.int64)
-    np.cumsum(counts[:-1], out=starts[1:])
-    segment_ids = np.fromiter(
-        (s for segments in missing for s in segments),
-        dtype=np.int64,
-        count=int(counts.sum()),
-    )
-    values = route_turn_sums(network, segment_ids, starts, counts)
-    network.route_turns().update(zip(missing, values.tolist()))
-
-
 def transition_features(
     network: RoadNetwork,
     route: Route,
@@ -228,63 +210,38 @@ def transition_features(
 
 def transition_feature_rows(
     network: RoadNetwork,
-    routes: RouteBlock | list[Route | None],
-    prev_point: TrajectoryPoint | None = None,
-    point: TrajectoryPoint | None = None,
+    routes: RouteBlock,
+    straight: float | np.ndarray,
     relevance: np.ndarray | None = None,
-    relevance_ids: np.ndarray | list[int] | None = None,
-    *,
-    straight: np.ndarray | None = None,
-) -> tuple[np.ndarray, list[int] | np.ndarray]:
-    """Stacked transition rows for one trellis step or a whole trajectory.
+    relevance_ids: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked transition rows for every found route of ``routes``.
 
-    ``routes`` is one step's routes (a list) or any number of steps' routes
-    (a :class:`RouteBlock`).  The straight-line distance of each step is
-    ``straight`` (aligned with ``routes``) or, for one step, the distance
-    from ``prev_point`` to ``point``.
+    ``routes`` holds one trellis step's routes or any number of steps';
+    ``straight`` is the straight-line distance of the step, one float for
+    all entries or an array aligned with them.
 
     Returns ``(rows, positions)``: ``rows[r]`` is the feature row for
-    route ``positions[r]`` (missing routes are skipped, order preserved);
-    ``positions`` is a list for a list of routes and an array for a block.
-    Without ``relevance`` the rows are the 3 explicit ``D_T`` columns,
-    bit-identical to per-route :func:`transition_features`.  With it, a
-    leading implicit column carries the mean learned relevance over the
-    route's segments, matching the scalar
+    block entry ``positions[r]`` (missing routes are skipped, order
+    preserved).  Without ``relevance`` the rows are the 3 explicit ``D_T``
+    columns, bit-identical to per-route :func:`transition_features`.  With
+    it, a leading implicit column carries the mean learned relevance over
+    the route's segments, matching the scalar
     ``float(np.mean([rel[s] for s in route.segments]))`` (same-length
     routes are grouped so ``np.mean(axis=1)`` reproduces the per-route
     reduction exactly).  ``relevance`` is indexed by segment id, or, when
     ``relevance_ids`` (sorted segment ids) is given, aligned with those
     ids, which must then include every road of every route.
-
-    A list's turn sums come from the network's per-route memo, which pays
-    off for the small, recurring batches of the streaming decoder and the
-    shortcut pass; a block's come straight from :func:`route_turn_sums`.
     """
-    if straight is None:
-        straight = prev_point.position.distance_to(point.position)
-    if isinstance(routes, RouteBlock):
-        positions = np.flatnonzero(routes.found)
-        starts = routes.offsets[positions]
-        counts = routes.offsets[positions + 1] - starts
-        lengths = routes.lengths[positions]
-        turns = route_turn_sums(network, routes.segment_ids, starts, counts)
-        groups = _block_length_groups(routes.segment_ids, starts, counts)
-    else:
-        positions = [i for i, route in enumerate(routes) if route is not None]
-        kept = [routes[i] for i in positions]
-        lengths = np.fromiter((r.length for r in kept), dtype=np.float64, count=len(kept))
-        memo = network.route_turns()
-        missing = [r.segments for r in kept if r.segments not in memo]
-        if missing:
-            fill_route_turn_memo(network, list(dict.fromkeys(missing)))
-        turns = np.fromiter(
-            (memo[r.segments] for r in kept), dtype=np.float64, count=len(kept)
-        )
-        groups = _route_length_groups(kept)
+    positions = np.flatnonzero(routes.found)
+    starts = routes.offsets[positions]
+    counts = routes.offsets[positions + 1] - starts
     n = len(positions)
     width = NUM_TRANSITION_FEATURES + (1 if relevance is not None else 0)
     if n == 0:
         return np.empty((0, width), dtype=np.float64), positions
+    lengths = routes.lengths[positions]
+    turns = route_turn_sums(network, routes.segment_ids, starts, counts)
     if isinstance(straight, np.ndarray):
         straight = straight[positions]
     denominator = straight + 100.0
@@ -297,7 +254,7 @@ def transition_feature_rows(
     implicit = np.empty(n, dtype=np.float64)
     # Routes come grouped by segment count: np.mean over the rows of a
     # same-length stack is bitwise identical to the scalar per-route np.mean.
-    for members, ids in groups:
+    for members, ids in _block_length_groups(routes.segment_ids, starts, counts):
         if ids.shape[1] == 0:
             implicit[members] = 0.5
             continue
@@ -307,18 +264,8 @@ def transition_feature_rows(
     return np.column_stack([implicit, explicit]), positions
 
 
-def _route_length_groups(routes: list[Route]):
-    """``(members, segment-id matrix)`` per segment count of ``routes``."""
-    by_len: dict[int, list[int]] = {}
-    for r, route in enumerate(routes):
-        by_len.setdefault(len(route.segments), []).append(r)
-    for seg_count, members in by_len.items():
-        ids = np.array([routes[r].segments for r in members], dtype=np.int64)
-        yield members, ids.reshape(len(members), seg_count)
-
-
 def _block_length_groups(segment_ids: np.ndarray, starts: np.ndarray, counts: np.ndarray):
-    """:func:`_route_length_groups` for routes laid out as block columns."""
+    """``(members, segment-id matrix)`` per segment count of the block routes."""
     order = np.argsort(counts, kind="stable")
     sorted_counts = counts[order]
     bounds = [0, *(np.flatnonzero(np.diff(sorted_counts)) + 1).tolist(), len(order)]

@@ -701,19 +701,32 @@ class LHMM:
         """
         self._require_fit()
         assert self.graph is not None and self.observation_learner is not None
-        cfg = self.config
         points = trajectory.points
         if tower_nodes is None:
             tower_nodes = self._tower_nodes_for(points)
         with no_grad():
             x = Tensor(self.node_embeddings[tower_nodes])  # type: ignore[index]
             context = self.observation_learner.context(x).numpy()
+        candidate_sets, po_maps = self._candidate_layers(points, context)
+        return candidate_sets, po_maps, context
+
+    def _candidate_layers(
+        self, points: list[TrajectoryPoint], context: np.ndarray
+    ) -> tuple[list[list[int]], list[dict[int, float]]]:
+        """Top-k candidates and pool ``P_O`` maps for ``points``.
+
+        ``context[i]`` is point ``i``'s attention context row.  The batched
+        pipeline scores all points in one pass
+        (:meth:`_prepare_candidates_batched`), the scalar one point by
+        point; both give the same floats.  Whole-trajectory matching and
+        the streaming decoder (one point at a time) share this stage.
+        """
+        cfg = self.config
         if cfg.pipeline_impl == "batched":
-            candidate_sets, po_maps = self._prepare_candidates_batched(points, context)
-            return candidate_sets, po_maps, context
+            return self._prepare_candidates_batched(points, context)
         candidate_sets = []
         po_maps = []
-        for i, point in enumerate(points):
+        for point, context_row in zip(points, context):
             pool = learned_candidate_pool(
                 self.graph,
                 point,
@@ -721,12 +734,11 @@ class LHMM:
                 cfg.candidate_pool,
                 include_cooccurrence=cfg.extend_pool_with_cooccurrence,
             )
-            scores = self._score_observations(point, pool, context[i])
+            scores = self._score_observations(point, pool, context_row)
             order = np.argsort(-scores)
-            top = [pool[int(j)] for j in order[: cfg.candidate_k]]
-            candidate_sets.append(top)
+            candidate_sets.append([pool[int(j)] for j in order[: cfg.candidate_k]])
             po_maps.append({seg: float(s) for seg, s in zip(pool, scores)})
-        return candidate_sets, po_maps, context
+        return candidate_sets, po_maps
 
     def match(self, trajectory: Trajectory) -> MatchResult:
         """Map-match one cellular trajectory (Algorithms 1 + 2).

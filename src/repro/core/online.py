@@ -16,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 from repro.cellular.trajectory import Trajectory, TrajectoryPoint
-from repro.core.candidates import learned_candidate_pool
 from repro.core.features import transition_feature_rows
 from repro.core.matcher import LHMM
 from repro.core.trellis import UNREACHABLE_SCORE, step_scores, viterbi_layer
 from repro.errors import InvalidTrajectoryInput
-from repro.network.router import route_pairs
+# route_pairs stays bound for perfbench/trace.py, which patches it by name.
+from repro.network.router import route_block, route_pairs  # noqa: F401
 from repro.network.shortest_path import stitch_segments
 from repro.nn import Tensor, no_grad
 
@@ -78,38 +78,25 @@ class OnlineLHMM:
     def add_point(self, point: TrajectoryPoint) -> None:
         """Feed the next cellular sample.
 
-        Each point extends the lattice by one layer through the batch
-        trellis's kernel: :func:`~repro.core.trellis.step_scores` over
-        ``P_T`` rows stacked by ``transition_feature_rows``, then
-        :func:`~repro.core.trellis.viterbi_layer`.  A point with no
+        Each point runs the batch matcher's stages: candidates from
+        :meth:`LHMM._candidate_layers`, the step's candidate product routed
+        into one :class:`~repro.network.shortest_path.RouteBlock`, ``P_T``
+        rows from ``transition_feature_rows``, then the batch trellis's
+        kernel (:func:`~repro.core.trellis.step_scores` and
+        :func:`~repro.core.trellis.viterbi_layer`).  A point with no
         candidate road raises before the decoder changes.
         """
         matcher = self.matcher
-        cfg = matcher.config
-        if cfg.pipeline_impl == "batched":
-            # The matcher's per-tower pool cache answers repeat towers in
-            # O(1); a miss runs the stacked spatial kernel. Same pool as
-            # the scalar builder below, point for point.
-            pool = matcher._pool_cache().pool(point)
-        else:
-            pool = learned_candidate_pool(
-                matcher.graph,
-                point,
-                cfg.candidate_radius_m,
-                cfg.candidate_pool,
-                include_cooccurrence=cfg.extend_pool_with_cooccurrence,
-            )
-        self._points.append(point)
         # The recent window's towers feed both the attention context and
         # road relevance.
-        nodes = matcher._tower_nodes_for(self._points[-self.context_window :])
+        window = [*self._points[-(self.context_window - 1) :], point]
+        nodes = matcher._tower_nodes_for(window)
         towers = Tensor(matcher.node_embeddings[nodes])  # type: ignore[index]
         with no_grad():
-            context = matcher.observation_learner.context(towers).numpy()[-1]
-        scores = matcher._score_observations(point, pool, context)
-        order = np.argsort(-scores)[: cfg.candidate_k]
-        candidates = [pool[int(j)] for j in order]
-        obs = scores[order]
+            context = matcher.observation_learner.context(towers).numpy()
+        (candidates,), (po,) = matcher._candidate_layers([point], context[-1:])
+        obs = np.array([po[seg] for seg in candidates], dtype=np.float64)
+        self._points.append(point)
 
         if not self._layers:
             self._layers.append(candidates)
@@ -117,27 +104,21 @@ class OnlineLHMM:
             self._pre.append({})
             return
 
-        # Route every (previous candidate -> new candidate) pair with one
-        # batched multi-source query, then score road relevance for exactly
-        # the segments those routes touch.
+        # Route every (previous candidate -> new candidate) pair into one
+        # block, then score road relevance for exactly the roads it touches.
         prev_layer = self._layers[-1]
-        pairs = [(prev, nxt) for prev in prev_layer for nxt in candidates]
-        routes = route_pairs(matcher.engine, pairs)
+        block = route_block(
+            matcher.engine, [(prev, nxt) for prev in prev_layer for nxt in candidates]
+        )
         relevance = touched = None
         if matcher.transition_learner.use_implicit:
-            touched = sorted(
-                {s for route in routes if route is not None for s in route.segments}
-            )
-            relevance = matcher._segment_relevance(towers, touched)
+            touched = np.unique(block.segment_ids)
+            relevance = matcher._segment_relevance(towers, touched.tolist())
+        straight = self._points[-2].position.distance_to(point.position)
         rows, positions = transition_feature_rows(
-            matcher.network,
-            routes,
-            self._points[-2],
-            point,
-            relevance=relevance,
-            relevance_ids=touched,
+            matcher.network, block, straight, relevance=relevance, relevance_ids=touched
         )
-        trans = np.full(len(pairs), UNREACHABLE_SCORE)
+        trans = np.full(len(block), UNREACHABLE_SCORE)
         if rows.shape[0]:
             trans[positions] = matcher._transition_probs(rows)
         w = step_scores(trans.reshape(len(prev_layer), len(candidates)), obs)

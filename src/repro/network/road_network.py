@@ -177,12 +177,10 @@ class RoadNetwork:
     _span_counts: "np.ndarray | None" = field(default=None, repr=False)
     _csr: CsrAdjacency | None = field(default=None, repr=False)
     # Per-segment turn-angle sums and headings (lazy; feeds the batched
-    # transition-feature builder) plus a per-route turn-sum memo keyed by
-    # the route's segment tuple.
+    # transition-feature builder).
     _turn_sums: dict[int, float] | None = field(default=None, repr=False)
     _headings: dict[int, float] | None = field(default=None, repr=False)
     _turn_dense: "tuple[np.ndarray, np.ndarray] | None" = field(default=None, repr=False)
-    _route_turns: dict[tuple[int, ...], float] = field(default_factory=dict, repr=False)
     _near_memo: dict[tuple[float, float, float], tuple[int, ...]] = field(
         default_factory=dict, repr=False
     )
@@ -213,7 +211,6 @@ class RoadNetwork:
         self._turn_sums = None  # invalidate per-segment turn geometry
         self._headings = None
         self._turn_dense = None
-        self._route_turns.clear()
         self._near_memo.clear()
 
     def freeze(self) -> "RoadNetwork":
@@ -419,7 +416,6 @@ class RoadNetwork:
             edge_segments=arrays["csr_edge_segments"],
         )
         self._near_memo.clear()
-        self._route_turns.clear()
         return self
 
     def total_length(self) -> float:
@@ -730,14 +726,5 @@ class RoadNetwork:
             self._turn_dense = (ts, hd)
         return self._turn_dense
 
-    #: Bound on memoised per-route turn sums (cleared wholesale when hit).
-    ROUTE_TURN_CACHE_MAX = 200_000
-
     #: Entry cap of the per-position near-segments memo.
     NEAR_MEMO_MAX = 200_000
-
-    def route_turns(self) -> dict[tuple[int, ...], float]:
-        """The per-route turn-sum memo (segment tuple -> degrees)."""
-        if len(self._route_turns) > self.ROUTE_TURN_CACHE_MAX:
-            self._route_turns.clear()
-        return self._route_turns

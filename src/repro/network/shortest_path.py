@@ -104,16 +104,6 @@ class RouteBlock:
         segments = self.segment_ids[self.offsets[i] : self.offsets[i + 1]]
         return Route(segments=tuple(segments.tolist()), length=float(self.lengths[i]))
 
-    def slice(self, lo: int, hi: int) -> "RouteBlock":
-        """Entries ``lo:hi`` as their own block (e.g. one trellis step)."""
-        start, stop = self.offsets[lo], self.offsets[hi]
-        return RouteBlock(
-            found=self.found[lo:hi],
-            lengths=self.lengths[lo:hi],
-            offsets=self.offsets[lo : hi + 1] - start,
-            segment_ids=self.segment_ids[start:stop],
-        )
-
     @classmethod
     def from_routes(cls, routes: Sequence[Route | None]) -> "RouteBlock":
         """Pack per-pair routes, for routers without a native block builder."""

@@ -93,3 +93,24 @@ def test_pools_features_blocks_are_memoised_per_key(graph, tower_points):
     again = cache.pools_features(tower_points)
     assert again[1].tolist() == features.tolist()
     assert again[3].tolist() == node_idx.tolist()
+
+
+def test_small_cap_cache_answers_like_an_unbounded_one(graph, tiny_dataset):
+    """A full map is cleared mid-call to hold its bound; that call must
+    still answer every point, exactly as an unbounded cache does."""
+    points = [
+        TrajectoryPoint(position=t.location, timestamp=60.0 * i, tower_id=t.tower_id)
+        for i, t in enumerate(list(tiny_dataset.towers)[:5])
+    ]
+    assert len(points) == 5
+    small = CandidatePoolCache(graph, radius_m=1600.0, limit=50, max_entries=2)
+    full = CandidatePoolCache(graph, radius_m=1600.0, limit=50)
+    want = full.pools_features(points)
+    for _ in range(2):  # cold, then over whatever the bound kept
+        assert small.pools(points) == want[0]
+        got = small.pools_features(points)
+        assert got[0] == want[0]
+        for a, b in zip(got[1:], want[1:]):
+            assert a.tobytes() == b.tobytes()
+        assert len(small._pools) <= 2 and len(small._nodes) <= 2
+        assert len(small._features) <= 2

@@ -5,9 +5,9 @@ lags 1, 3 and the full trajectory length, ``committed_path`` after every
 fed point and the ``finish()`` path.  Unlike ``test_online_parity.py``,
 the golden matcher keeps its implicit ``P_O``/``P_T`` on, so streaming is
 pinned with the attention context and road relevance in the loop.  Both
-pipelines must reproduce the same corpus: streaming reads
-``pipeline_impl`` only to pick the candidate-pool source, which yields the
-same pool either way, and never reads ``trellis_impl``.
+pipelines must reproduce the same corpus: streaming runs the matcher's
+candidate stage, whose batched and scalar forms give the same candidates
+and ``P_O`` floats, and never reads ``trellis_impl``.
 
 A failure means streaming behaviour *changed*; if that is intended,
 regenerate with ``python -m repro golden --regen`` and review the diff.

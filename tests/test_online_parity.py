@@ -20,8 +20,11 @@ online/batch differences, not drift:
 With those off, the two decoders walk mathematically identical lattices,
 so ``lag >= len(trajectory)`` must reproduce ``LHMM.match`` exactly, on
 every trajectory — under *both* trellis backends (the streaming decoder
-has a vectorized layer update mirroring :class:`VectorizedTrellis`, and
-parity must survive it).  Conversely a small lag may legitimately commit
+runs the batch trellis's layer kernel, the batch matcher either trellis)
+and on *both* routers: the Dijkstra engine, whose native route blocks
+streaming reads, and a :class:`UbodtRouter`, whose routes reach streaming
+packed by ``RouteBlock.from_routes`` (as on ``router: ubodt`` serving
+shards).  Conversely a small lag may legitimately commit
 early and diverge — that trade-off is asserted as "documented" by the
 bounded CMF test in ``test_core_online.py``.
 """
@@ -31,6 +34,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.core import LHMM, LHMMConfig, OnlineLHMM
 from repro.core.trellis import TRELLIS_IMPLS
+from repro.network import ShortestPathEngine, Ubodt, UbodtRouter
 
 
 @pytest.fixture(scope="module")
@@ -54,6 +58,13 @@ def parity_lhmm(tiny_dataset):
     return LHMM(config, rng=5).fit(tiny_dataset)
 
 
+@pytest.fixture(scope="module")
+def ubodt_router(tiny_dataset):
+    network = tiny_dataset.network
+    table = Ubodt.build(network, delta_m=2000.0)
+    return UbodtRouter(network, table, fallback=ShortestPathEngine(network))
+
+
 @pytest.mark.parametrize("impl", TRELLIS_IMPLS)
 @settings(
     max_examples=12,
@@ -61,7 +72,9 @@ def parity_lhmm(tiny_dataset):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 @given(data=st.data())
-def test_full_lag_streaming_equals_batch(data, impl, parity_lhmm, tiny_dataset):
+def test_full_lag_streaming_equals_batch(
+    data, impl, parity_lhmm, tiny_dataset, ubodt_router
+):
     """For random trajectory slices, lag >= n commits == batch segments."""
     samples = tiny_dataset.samples
     sample = samples[data.draw(st.integers(0, len(samples) - 1), label="sample")]
@@ -77,23 +90,27 @@ def test_full_lag_streaming_equals_batch(data, impl, parity_lhmm, tiny_dataset):
     ).subsampled(keep_every)
 
     saved_impl = parity_lhmm.config.trellis_impl
+    saved_engine = parity_lhmm.engine
     parity_lhmm.config.trellis_impl = impl
     try:
-        batch = parity_lhmm.match(trajectory)
-        online = OnlineLHMM(
-            parity_lhmm, lag=len(trajectory), context_window=len(trajectory)
-        )
-        for point in trajectory.points:
-            online.add_point(point)
-        # With lag >= n nothing may commit before finish: the whole
-        # trajectory is still pending (the latency cost of full-batch
-        # accuracy).
-        assert online.pending_points() == len(trajectory)
-        assert online.committed_path == []
+        for router in (saved_engine, ubodt_router):
+            parity_lhmm.use_router(router)
+            batch = parity_lhmm.match(trajectory)
+            online = OnlineLHMM(
+                parity_lhmm, lag=len(trajectory), context_window=len(trajectory)
+            )
+            for point in trajectory.points:
+                online.add_point(point)
+            # With lag >= n nothing may commit before finish: the whole
+            # trajectory is still pending (the latency cost of full-batch
+            # accuracy).
+            assert online.pending_points() == len(trajectory)
+            assert online.committed_path == []
 
-        assert online.finish() == batch.path
+            assert online.finish() == batch.path
     finally:
         parity_lhmm.config.trellis_impl = saved_impl
+        parity_lhmm.use_router(saved_engine)
 
 
 @settings(

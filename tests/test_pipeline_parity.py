@@ -23,7 +23,6 @@ def _reset_caches(matcher) -> None:
     matcher.engine.clear_cache()
     network = matcher.network
     network._near_memo.clear()
-    network._route_turns.clear()
     matcher._pool_cache_obj = None
 
 

@@ -1,14 +1,16 @@
 """Property test: stacked transition rows equal the per-route scalar rows.
 
-``transition_feature_rows`` builds one trellis step's ``P_T`` inputs for
-the batch matcher and the streaming decoder.  It promises, bit for bit,
-what the scalar spec computes route by route: the explicit ``D_T`` columns
-of :func:`transition_features`, and with relevance a leading implicit
-column ``float(np.mean([rel[s] for s in route.segments]))``.  Relevance
-comes in two forms — indexed by segment id (the batch matcher's
-per-trajectory array) or aligned with sorted ids (the streaming decoder's
-layer-local scores, mapped with ``np.searchsorted``) — and both must give
-the same rows.
+``transition_feature_rows`` builds the ``P_T`` inputs of a
+:class:`RouteBlock` for the batch matcher and the streaming decoder.  Over
+a block packed by ``RouteBlock.from_routes`` from drawn routes (``None``,
+self routes, repeats), it promises, bit for bit, what the scalar spec
+computes route by route: the explicit ``D_T`` columns of
+:func:`transition_features`, and with relevance a leading implicit column
+``float(np.mean([rel[s] for s in route.segments]))``.  Relevance comes in
+two forms — indexed by segment id (the batch matcher's per-trajectory
+array) or aligned with sorted ids (the streaming decoder's layer-local
+scores, mapped with ``np.searchsorted``) — and both must give the same
+rows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cellular.trajectory import TrajectoryPoint
 from repro.core.features import transition_feature_rows, transition_features
-from repro.network.shortest_path import Route
+from repro.network.shortest_path import Route, RouteBlock
 from tests.test_spatial_batch_property import query_points, random_networks
 
 
@@ -69,22 +71,19 @@ def test_stacked_rows_equal_per_route_rows(net, points, data):
         st.lists(st.floats(0.0, 1.0), min_size=size, max_size=size)
     )
     dense = np.array(values, dtype=np.float64)
-    touched = sorted(
-        {s for route in routes if route is not None for s in route.segments}
-    )
+    block = RouteBlock.from_routes(routes)
+    straight = prev_point.position.distance_to(point.position)
+    touched = np.unique(block.segment_ids)
 
     cases = [
         (None, {}),
         (dense, {"relevance": dense}),
         (dense, {"relevance": dense[touched], "relevance_ids": touched}),
-        (dense, {"relevance": dense[touched], "relevance_ids": np.array(touched)}),
     ]
     for spec_relevance, kwargs in cases:
-        rows, got_positions = transition_feature_rows(
-            net, routes, prev_point, point, **kwargs
-        )
+        rows, got_positions = transition_feature_rows(net, block, straight, **kwargs)
         want = scalar_rows(net, routes, prev_point, point, spec_relevance)
-        assert got_positions == positions
+        assert got_positions.tolist() == positions
         assert rows.shape == (len(positions), 3 + (spec_relevance is not None))
         for got, expected in zip(rows, want):
             # Bitwise, not approximately: P_T must not depend on the path.
