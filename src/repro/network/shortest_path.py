@@ -2,17 +2,23 @@
 
 HMM map matching evaluates the shortest path between every pair of
 neighbouring candidate roads, so routing dominates runtime.  Following the
-precomputation idea the paper borrows from FMM [11], the engine memoises a
-full single-source Dijkstra result per queried source node; repeated queries
+precomputation idea the paper borrows from FMM [11], the engine memoises one
+single-source Dijkstra result per queried source node; repeated queries
 from the same candidate segment (the common case across a trajectory) then
-cost an array lookup.
+cost an array lookup.  Like FMM's UBODT, which keeps only paths shorter
+than a bound, a source is searched only as far as its targets need.
 
 Two backends share that contract:
 
 * a vectorised backend on :func:`scipy.sparse.csgraph.dijkstra` over the
-  network's CSR adjacency — one C-level multi-source call settles every
-  source of a trellis step at once (:meth:`ShortestPathEngine.route_many`,
-  :meth:`ShortestPathEngine.distances`);
+  network's CSR adjacency.  It searches each source to a first-pass limit
+  taken from the straight-line distance to its targets (sources sharing a
+  limit share one C-level call) and keeps only the nodes that search
+  settled.  A target left unsettled is unknown, not unreachable: the
+  source is searched again to ``max_route_length`` before anything is
+  answered.  A bounded search whose predecessors could depend on heap
+  order (equal-distance ties) is redone to ``max_route_length`` too, so
+  every answer equals the full ``max_route_length`` search bit for bit;
 * a pure-Python heap backend, used when scipy is unavailable and kept as
   the reference implementation the perf benchmarks compare against.
 
@@ -23,9 +29,10 @@ The batched matcher does not build one :class:`Route` per candidate pair:
 :meth:`ShortestPathEngine.route_block` routes a whole trajectory's candidate
 products into one columnar :class:`RouteBlock` (found flags, lengths, and
 the segment ids of every route in one flat array).  It settles the block's
-source nodes with one multi-source Dijkstra call, walks every pair's
-predecessor chain in lockstep with NumPy, and bypasses the per-pair route
-cache; each entry equals what :meth:`ShortestPathEngine.route` returns.
+source nodes in batched Dijkstra calls, walks every pair's predecessor
+chain in lockstep with NumPy over the bounded rows laid end to end, and
+bypasses the per-pair route cache; each entry equals what
+:meth:`ShortestPathEngine.route` returns.
 """
 
 from __future__ import annotations
@@ -35,7 +42,7 @@ import math
 from itertools import chain
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -124,8 +131,74 @@ class RouteBlock:
         return cls(found, lengths, offsets, segment_ids)
 
 
+class _Row(NamedTuple):
+    """One source's Dijkstra result over the nodes it settled.
+
+    A search bounded by ``limit`` settles exactly the nodes within
+    ``limit`` of its source, each with its exact distance; a node it does
+    not list is farther than ``limit`` or unreachable, not known absent.
+    """
+
+    nodes: np.ndarray  # int32 CSR node indices, sorted
+    dist: np.ndarray  # float64 distance of each node
+    pred: np.ndarray  # int32 position in ``nodes`` of its predecessor, -1 at the source
+    limit: float
+
+
+class _Rows(NamedTuple):
+    """Rows laid end to end, and where each queried pair's target sits.
+
+    ``nodes``, ``dist`` and ``pred`` hold one row after another.  Pair
+    ``i``'s row starts at ``start[i]`` and its target is at ``pos[i]`` (-1
+    when beyond ``max_route_length`` or unreachable).  ``pred`` keeps
+    positions within a row, so the node at ``j`` in pair ``i``'s row has
+    its predecessor at ``start[i] + pred[j]`` (``pred`` is -1 at a source).
+    """
+
+    nodes: np.ndarray
+    dist: np.ndarray
+    pred: np.ndarray
+    start: np.ndarray
+    pos: np.ndarray
+
+
+def _first_pass_limits(far: np.ndarray, cap: float) -> np.ndarray:
+    """Search radius for sources whose farthest target lies ``far`` metres away.
+
+    Twice the straight-line distance plus 500 m covers nearly every network
+    detour a transition takes; rounding up to 1 km * 2^k lets sources share
+    one Dijkstra call and lets a cached row serve later, nearer requests.
+    """
+    need = np.maximum((2.0 * far + 500.0) / 1000.0, 1.0)
+    return np.minimum(1000.0 * np.exp2(np.ceil(np.log2(need))), cap)
+
+
+def _compact(dist: np.ndarray, pred: np.ndarray, limit: float) -> list[_Row]:
+    """Dense scipy rows (distance, predecessor node) as :class:`_Row` s."""
+    n = dist.shape[1]
+    flat = np.flatnonzero(np.isfinite(dist))
+    parent = pred.ravel()[flat]
+    first = np.searchsorted(flat, np.arange(dist.shape[0] + 1) * n)
+    row = np.repeat(np.arange(dist.shape[0]), np.diff(first))
+    # A predecessor is settled in the same row, at its own flat index.
+    position = np.searchsorted(flat, row * n + parent) - first[row]
+    position[parent < 0] = -1
+    nodes = (flat - row * n).astype(np.int32)
+    values = dist.ravel()[flat]
+    position = position.astype(np.int32)
+    bounds = first.tolist()
+    return [
+        _Row(nodes[a:b].copy(), values[a:b].copy(), position[a:b].copy(), limit)
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
 class _ScipyBackend:
-    """Node-level Dijkstra on the CSR adjacency, batched across sources."""
+    """Node-level Dijkstra on the CSR adjacency, bounded and batched.
+
+    Each source is settled only as far as its targets need
+    (:meth:`rows_for`) and cached as a :class:`_Row` of its settled nodes.
+    """
 
     def __init__(
         self, network: RoadNetwork, max_route_length: float, cache_size: int
@@ -133,120 +206,225 @@ class _ScipyBackend:
         self._network = network
         self._limit = max_route_length
         self._cache_size = cache_size
-        # source node id -> (distance row, predecessor row) over node indices
-        self._rows: OrderedDict[int, tuple[np.ndarray, np.ndarray]] = OrderedDict()
+        # CSR node index of the source -> its row
+        self._rows: OrderedDict[int, _Row] = OrderedDict()
+        # (csr, node coordinates, in-edge CSR, in-edge length gap), rebuilt
+        # with the adjacency
+        self._graph: tuple | None = None
 
-    def ensure(self, sources: Iterable[int]) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Settle all missing sources with one multi-source Dijkstra call.
-
-        Returns the ``(distance row, predecessor row)`` of every requested
-        source in the network, including rows this call settles and then
-        evicts from the LRU at once (more sources than its bound).
-        """
+    def _tables(self) -> tuple:
         csr = self._network.csr()
-        rows: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        missing = []
-        for s in dict.fromkeys(sources):
-            cached = self._rows.get(s)
-            if cached is not None:
-                rows[s] = cached
-            elif s in csr.index:
-                missing.append(s)
-        if not missing:
-            return rows
-        indices = np.array([csr.index[s] for s in missing], dtype=np.int64)
-        dist, pred = _csgraph_dijkstra(
-            csr.matrix,
-            directed=True,
-            indices=indices,
-            return_predecessors=True,
-            limit=self._limit,
-        )
-        for row, source in enumerate(missing):
-            rows[source] = self._rows[source] = (dist[row], pred[row])
-        while len(self._rows) > self._cache_size:
-            self._rows.popitem(last=False)
-        return rows
+        if self._graph is None or self._graph[0] is not csr:
+            nodes = self._network.nodes
+            xy = np.array(
+                [(nodes[n].x, nodes[n].y) for n in csr.node_ids.tolist()], dtype=np.float64
+            ).reshape(-1, 2)
+            into = csr.matrix.T.tocsr()
+            # Least difference between two in-edge lengths of each node.
+            head = np.repeat(np.arange(csr.num_nodes), np.diff(into.indptr))
+            order = np.lexsort((into.data, head))
+            head, length = head[order], into.data[order]
+            same = head[1:] == head[:-1]
+            gap = np.full(csr.num_nodes, np.inf)
+            np.minimum.at(gap, head[1:][same], np.diff(length)[same])
+            self._graph = (csr, xy, into, gap)
+        return self._graph
 
-    def _row(self, source: int) -> tuple[np.ndarray, np.ndarray] | None:
-        cached = self._rows.get(source)
-        if cached is None:
-            self.ensure([source])
-            cached = self._rows.get(source)
-        else:
-            self._rows.move_to_end(source)
-        return cached
+    def rows_for(self, u: np.ndarray, v: np.ndarray) -> _Rows:
+        """Rows that answer every ``u[i] -> v[i]`` node-index pair exactly.
+
+        A cached row answers when it settled the target or was searched to
+        ``max_route_length``.  Otherwise the source is searched to its
+        first-pass limit (:func:`_first_pass_limits` over its targets) and,
+        while a target is still unsettled, again to ``max_route_length``.
+        The rows are read from this call, never back through the LRU, so
+        none is lost to its bound.
+        """
+        csr, xy, _, _ = self._tables()
+        n = csr.num_nodes
+        sources, row_of = np.unique(u, return_inverse=True)
+        far = np.zeros(sources.shape[0])
+        np.maximum.at(far, row_of, np.hypot(*(xy[v] - xy[u]).T))
+        limits = _first_pass_limits(far, self._limit)
+        rows: list[_Row | None] = []
+        for s in sources.tolist():
+            row = self._rows.get(s)
+            if row is not None:
+                self._rows.move_to_end(s)
+            rows.append(row)
+        todo = [i for i, row in enumerate(rows) if row is None]
+        query = row_of * n + v
+        while True:
+            if todo:
+                for i, row in zip(todo, self._settle(sources[todo], limits[todo])):
+                    rows[i] = row
+            sizes = np.fromiter((row.nodes.shape[0] for row in rows), np.int64, len(rows))
+            row_start = np.zeros(len(rows), dtype=np.int64)
+            np.cumsum(sizes[:-1], out=row_start[1:])
+            nodes = np.concatenate([row.nodes for row in rows])
+            keys = np.repeat(np.arange(len(rows)) * n, sizes) + nodes
+            pos = np.searchsorted(keys, query)
+            pos[pos == keys.shape[0]] = 0
+            miss = keys[pos] != query
+            if not miss.any():
+                break
+            pos[miss] = -1
+            todo = [
+                i for i in np.unique(row_of[miss]).tolist() if rows[i].limit < self._limit
+            ]
+            if not todo:
+                break
+            # A row short of its first-pass limit is searched to it; one
+            # already that deep goes all the way.
+            for i in todo:
+                if limits[i] <= rows[i].limit:
+                    limits[i] = self._limit
+        return _Rows(
+            nodes,
+            np.concatenate([row.dist for row in rows]),
+            np.concatenate([row.pred for row in rows]),
+            row_start[row_of],
+            pos,
+        )
+
+    def _settle(self, sources: np.ndarray, limits: np.ndarray) -> list[_Row]:
+        """Search every source to its limit, one Dijkstra call per limit.
+
+        A bounded row whose predecessors could differ from the
+        ``max_route_length`` search's (:meth:`_ambiguous`) is searched again
+        to ``max_route_length``, so every row agrees with the full search.
+        """
+        matrix = self._tables()[0].matrix
+        out: dict[int, _Row] = {}
+        redo = np.zeros(sources.shape[0], dtype=bool)
+        for limit in np.unique(limits).tolist():
+            batch = np.flatnonzero(limits == limit)
+            dist, pred = _csgraph_dijkstra(
+                matrix, directed=True, indices=sources[batch],
+                return_predecessors=True, limit=limit,
+            )
+            if limit < self._limit:
+                redo[batch] = self._ambiguous(dist, pred, limit)
+            for k, row in zip(batch.tolist(), _compact(dist, pred, limit)):
+                out[k] = row
+        if redo.any():
+            batch = np.flatnonzero(redo)
+            dist, pred = _csgraph_dijkstra(
+                matrix, directed=True, indices=sources[batch],
+                return_predecessors=True, limit=self._limit,
+            )
+            for k, row in zip(batch.tolist(), _compact(dist, pred, self._limit)):
+                out[k] = row
+        settled = [out[k] for k in range(sources.shape[0])]
+        cache = self._rows
+        for source, row in zip(sources.tolist(), settled):
+            cache[source] = row
+            cache.move_to_end(source)
+        while len(cache) > self._cache_size:
+            cache.popitem(last=False)
+        return settled
+
+    def _ambiguous(self, dist: np.ndarray, pred: np.ndarray, limit: float) -> np.ndarray:
+        """Rows whose predecessors may depend on the search's heap order.
+
+        Dijkstra keeps, as a node's predecessor, the first settled
+        in-neighbour ``x`` whose ``dist[x] + length`` equals the node's
+        distance: the tight in-neighbour of least ``dist[x]`` or, when
+        several share that least distance, whichever its heap pops first.
+        Only that last case can differ between a bounded search and the
+        ``max_route_length`` one, whose heaps hold different nodes, so a row
+        is flagged when some settled node has a second tight in-neighbour
+        at its predecessor's distance.  Two such in-neighbours add lengths
+        that differ by at most one spacing of a float no larger than
+        ``limit`` to the same distance, so nodes whose in-edge lengths are
+        all farther apart than that are not checked.
+        """
+        _, _, into, gap = self._tables()
+        prone = gap <= 2.0 * np.spacing(limit)
+        if not prone.any():
+            return np.zeros(dist.shape[0], dtype=bool)
+        n = dist.shape[1]
+        flat_dist, flat_pred = dist.ravel(), pred.ravel()
+        # Settled nodes but the sources, where a tie is possible.
+        head = np.flatnonzero((pred >= 0) & prone)
+        node = head % n
+        degree = into.indptr[node + 1] - into.indptr[node]
+        edges = _ragged_ranges(into.indptr[node], degree)
+        at = np.repeat(head, degree)
+        row_base = at - np.repeat(node, degree)
+        x = row_base + into.indices[edges]
+        p = row_base + flat_pred[at]
+        dx = flat_dist[x]
+        tied = (x != p) & (dx == flat_dist[p]) & (dx + into.data[edges] == flat_dist[at])
+        flagged = np.zeros(dist.shape[0], dtype=bool)
+        flagged[at[tied] // n] = True
+        return flagged
+
+    def _lookup(self, u: int, v: int) -> tuple[_Row | _Rows, int] | None:
+        """A row holding ``u``'s search and ``v``'s position in it (-1: beyond
+        reach), or None off the network.  Either form of row starts at 0."""
+        index = self._network.csr().index
+        u_idx, v_idx = index.get(u), index.get(v)
+        if u_idx is None or v_idx is None:
+            return None
+        row = self._rows.get(u_idx)
+        if row is not None:  # the rows_for rule, without its batch set-up
+            j = int(np.searchsorted(row.nodes, v_idx))
+            if j < row.nodes.shape[0] and row.nodes[j] == v_idx:
+                self._rows.move_to_end(u_idx)
+                return row, j
+            if row.limit >= self._limit:
+                self._rows.move_to_end(u_idx)
+                return row, -1
+        rows = self.rows_for(
+            np.array([u_idx], dtype=np.int64), np.array([v_idx], dtype=np.int64)
+        )
+        return rows, int(rows.pos[0])
+
+    def prime(self, pairs: Sequence[tuple[int, int]]) -> None:
+        index = self._network.csr().index
+        known = [(index[a], index[b]) for a, b in pairs if a in index and b in index]
+        if known:
+            u, v = np.array(known, dtype=np.int64).T
+            self.rows_for(u, v)
 
     def distance(self, u: int, v: int) -> float:
         if u == v:
             return 0.0
-        j = self._network.csr().index.get(v)
-        row = self._row(u)
-        if j is None or row is None:
+        found = self._lookup(u, v)
+        if found is None or found[1] < 0:
             return math.inf
-        d = row[0][j]
-        return float(d) if np.isfinite(d) else math.inf
-
-    def path_segments(self, u: int, v: int) -> list[int] | None:
-        if u == v:
-            return []
-        csr = self._network.csr()
-        u_idx = csr.index.get(u)
-        v_idx = csr.index.get(v)
-        row = self._row(u) if u_idx is not None else None
-        if row is None or v_idx is None or not np.isfinite(row[0][v_idx]):
-            return None
-        pred = row[1]
-        path: list[int] = []
-        node = v_idx
-        while node != u_idx:
-            p = int(pred[node])
-            if p < 0:
-                return None
-            path.append(csr.segment_between(p, node))
-            node = p
-        path.reverse()
-        return path
+        row, pos = found
+        return float(row.dist[pos])
 
     def path_and_distance(self, u: int, v: int) -> tuple[list[int] | None, float]:
-        """Path segments and distance with a single cached-row access."""
+        """Path segments and distance from one row lookup."""
         if u == v:
             return [], 0.0
+        found = self._lookup(u, v)
+        if found is None or found[1] < 0:
+            return None, math.inf
+        row, pos = found
         csr = self._network.csr()
-        u_idx = csr.index.get(u)
-        v_idx = csr.index.get(v)
-        row = self._row(u) if u_idx is not None else None
-        if row is None or v_idx is None:
-            return None, math.inf
-        d = row[0][v_idx]
-        if not np.isfinite(d):
-            return None, math.inf
-        pred = row[1]
+        nodes, pred = row.nodes, row.pred
         path: list[int] = []
-        node = v_idx
-        while node != u_idx:
-            p = int(pred[node])
-            if p < 0:
-                return None, math.inf
-            path.append(csr.segment_between(p, node))
+        node = pos
+        while (p := int(pred[node])) >= 0:
+            path.append(csr.segment_between(int(nodes[p]), int(nodes[node])))
             node = p
         path.reverse()
-        return path, float(d)
+        return path, float(row.dist[pos])
 
     def distances(self, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
-        csr = self._network.csr()
-        self.ensure(sources)
-        t_idx = np.array([csr.index.get(t, -1) for t in targets], dtype=np.int64)
-        known = t_idx >= 0
+        index = self._network.csr().index
+        s_idx = np.array([index.get(s, -1) for s in sources], dtype=np.int64)
+        t_idx = np.array([index.get(t, -1) for t in targets], dtype=np.int64)
         out = np.full((len(sources), len(targets)), np.inf)
-        for i, source in enumerate(sources):
-            cached = self._rows.get(source)
-            if cached is None and source in csr.index:  # evicted mid-call
-                self.ensure([source])
-                cached = self._rows.get(source)
-            if cached is None:  # node absent from the network
-                continue
-            out[i, known] = cached[0][t_idx[known]]
+        i, j = np.nonzero((s_idx[:, None] >= 0) & (t_idx[None, :] >= 0))
+        if i.shape[0]:
+            rows = self.rows_for(s_idx[i], t_idx[j])
+            reached = rows.pos >= 0
+            out[i[reached], j[reached]] = rows.dist[rows.pos[reached]]
         if len(sources) and len(targets):
             src = np.asarray(sources).reshape(-1, 1)
             out[src == np.asarray(targets).reshape(1, -1)] = 0.0
@@ -255,6 +433,12 @@ class _ScipyBackend:
     @property
     def cached_sources(self) -> int:
         return len(self._rows)
+
+    @property
+    def cached_bytes(self) -> int:
+        return sum(
+            row.nodes.nbytes + row.dist.nbytes + row.pred.nbytes for row in self._rows.values()
+        )
 
     def clear(self) -> None:
         self._rows.clear()
@@ -272,12 +456,19 @@ class _HeapBackend:
         self._dist: OrderedDict[int, dict[int, float]] = OrderedDict()
         self._pred: dict[int, dict[int, int]] = {}  # node -> incoming segment id
 
-    def ensure(self, sources: Iterable[int]) -> None:
-        for source in sources:
-            if source not in self._dist:
-                self._run(source)
+    def _search(self, source: int) -> tuple[dict[int, float], dict[int, int]]:
+        """``source``'s distance and incoming-segment maps, searched on a miss."""
+        dist = self._dist.get(source)
+        if dist is None:
+            return self._run(source)
+        self._dist.move_to_end(source)
+        return dist, self._pred[source]
 
-    def _run(self, source: int) -> None:
+    def prime(self, pairs: Sequence[tuple[int, int]]) -> None:
+        for source, _ in pairs:
+            self._search(source)
+
+    def _run(self, source: int) -> tuple[dict[int, float], dict[int, int]]:
         dist: dict[int, float] = {source: 0.0}
         pred: dict[int, int] = {}
         heap: list[tuple[float, int]] = [(0.0, source)]
@@ -304,43 +495,28 @@ class _HeapBackend:
         while len(self._dist) > self._cache_size:
             evicted, _ = self._dist.popitem(last=False)
             self._pred.pop(evicted, None)
+        return dist, pred
 
     def distance(self, u: int, v: int) -> float:
         if u == v:
             return 0.0
-        self.ensure([u])
-        self._dist.move_to_end(u)
-        return self._dist[u].get(v, math.inf)
-
-    def path_segments(self, u: int, v: int) -> list[int] | None:
-        if u == v:
-            return []
-        self.ensure([u])
-        if v not in self._dist[u]:
-            return None
-        pred = self._pred[u]
-        path: list[int] = []
-        node = v
-        while node != u:
-            seg_id = pred.get(node)
-            if seg_id is None:
-                return None
-            path.append(seg_id)
-            node = self._network.segments[seg_id].start_node
-        path.reverse()
-        return path
+        return self._search(u)[0].get(v, math.inf)
 
     def path_and_distance(self, u: int, v: int) -> tuple[list[int] | None, float]:
         """Path segments and distance from one settled-source lookup."""
         if u == v:
             return [], 0.0
-        d = self.distance(u, v)
-        if d == math.inf:
+        dist, pred = self._search(u)
+        if v not in dist:
             return None, math.inf
-        path = self.path_segments(u, v)
-        if path is None:
-            return None, math.inf
-        return path, d
+        path: list[int] = []
+        node = v
+        while node != u:
+            seg_id = pred[node]
+            path.append(seg_id)
+            node = self._network.segments[seg_id].start_node
+        path.reverse()
+        return path, dist[v]
 
     def distances(self, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
         out = np.full((len(sources), len(targets)), np.inf)
@@ -352,6 +528,10 @@ class _HeapBackend:
     @property
     def cached_sources(self) -> int:
         return len(self._dist)
+
+    @property
+    def cached_bytes(self) -> int:
+        return 0  # dict rows; not measured
 
     def clear(self) -> None:
         self._dist.clear()
@@ -375,7 +555,9 @@ class ShortestPathEngine:
         Args:
             network: The road network to route on.
             max_route_length: Bound on the explored radius per source node;
-                no reported distance or route ever exceeds it.
+                no reported distance or route ever exceeds it.  Sources
+                are searched less far when their targets allow, with the
+                same answers.
             use_scipy: Force the vectorised (True) or pure-Python (False)
                 backend; ``None`` picks vectorised when scipy is importable.
             route_cache_size: LRU bound on memoised segment-pair routes.
@@ -412,11 +594,11 @@ class ShortestPathEngine:
 
         Returns an empty list when ``u == v``.
         """
-        return self._backend.path_segments(u, v)
+        return self._backend.path_and_distance(u, v)[0]
 
-    def prime_sources(self, sources: Iterable[int]) -> None:
-        """Settle many source nodes ahead of time (one batched query)."""
-        self._backend.ensure(sources)
+    def prime_node_pairs(self, pairs: Sequence[tuple[int, int]]) -> None:
+        """Settle the sources of many ``(u, v)`` node pairs in one batched query."""
+        self._backend.prime(pairs)
 
     def distances(self, sources: Sequence[int], targets: Sequence[int]) -> np.ndarray:
         """Node-distance matrix ``D[i, j] = d(sources[i] -> targets[j])``.
@@ -477,22 +659,21 @@ class ShortestPathEngine:
     def route_many(self, pairs: Sequence[tuple[int, int]]) -> list[Route | None]:
         """Route every ``(from, to)`` pair, e.g. one whole trellis step.
 
-        All source nodes the batch needs are settled with a single
-        multi-source Dijkstra call before per-pair reconstruction, replacing
-        one heap search per pair.
+        All node pairs the batch needs are settled in one batched query
+        before per-pair reconstruction, replacing one heap search per pair.
         """
-        need: list[int] = []
+        need: list[tuple[int, int]] = []
         segments = self.network.segments
         for from_segment, to_segment in pairs:
             if from_segment == to_segment:
                 continue
             if (from_segment, to_segment) in self._route_cache:
                 continue
-            src = segments[from_segment]
-            if src.end_node != segments[to_segment].start_node:
-                need.append(src.end_node)
+            u, v = segments[from_segment].end_node, segments[to_segment].start_node
+            if u != v:
+                need.append((u, v))
         if need:
-            self._backend.ensure(need)
+            self._backend.prime(need)
         cache = self._route_cache
         if len(cache) <= self.route_cache_size // 2:
             # Far from eviction pressure: serve bulk hits with a plain dict
@@ -516,11 +697,12 @@ class ShortestPathEngine:
         with length 0, a direct continuation ``(a, b)`` with ``b``'s length
         (never capped), and any other pair goes over the shortest node path
         and is missing when that is unreachable or longer than
-        ``max_route_length``.  One multi-source Dijkstra call settles every
-        source node the block needs; the rows it returns are read directly,
-        so a block with more sources than the source cache holds loses
-        none.  Predecessor chains of all distinct node pairs are walked in
-        lockstep, and each hop's segment comes from one sorted-key
+        ``max_route_length``.  Every source node the block needs is settled
+        as far as its targets need, in batched Dijkstra calls; the rows are
+        read from that query directly, so a block with more sources than
+        the source cache holds loses none.  Predecessor chains of all
+        distinct node pairs are walked in lockstep over those rows laid end
+        to end, and each hop's segment comes from one sorted-key
         ``searchsorted`` over the CSR.  The per-pair route cache and the
         node-path cache are neither read nor filled.  The heap backend has
         no native builder and packs :meth:`route_many` instead.
@@ -567,7 +749,7 @@ class ShortestPathEngine:
     def _node_paths(
         self, csr, keys: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Shortest node paths for sorted ``u * N + v`` node-index keys.
+        """Shortest node paths for sorted ``u * N + v`` node-index keys, ``u != v``.
 
         Returns ``(dist, depth, roads, road_start)``: path ``q`` has node
         distance ``dist[q]`` (inf when unreachable) and the roads
@@ -582,41 +764,29 @@ class ShortestPathEngine:
         road_start = np.zeros(count, dtype=np.int64)
         if not count:
             return dist, depth, np.empty(0, dtype=np.int64), road_start
-        # Sorted keys keep each source's paths contiguous.
-        sources, first = np.unique(u, return_index=True)
-        bounds = [*first.tolist(), count]
-        rows = self._backend.ensure(csr.node_ids[sources].tolist())
-        source_rows = [rows[node] for node in csr.node_ids[sources].tolist()]
-        for lo, hi, (dist_row, _) in zip(bounds, bounds[1:], source_rows):
-            dist[lo:hi] = dist_row[v[lo:hi]]
-        pred = np.stack([pred_row for _, pred_row in source_rows])
-        row_of = np.repeat(np.arange(len(source_rows)), np.diff(bounds))
+        rows = self._backend.rows_for(u, v)
+        active = np.flatnonzero(rows.pos >= 0)
+        cur = rows.pos.copy()
+        dist[active] = rows.dist[cur[active]]
         hops = []  # (path, from node, to node, hops walked so far)
-        cur = v.copy()
-        active = np.flatnonzero(np.isfinite(dist))
         step = 0
         while active.shape[0]:
-            p = pred[row_of[active], cur[active]]
-            broken = p < 0
-            if broken.any():  # never reaches the source: unreachable
-                dist[active[broken]] = math.inf
-                active, p = active[~broken], p[~broken]
-            hops.append((active, p, cur[active], np.full(active.shape[0], step)))
+            here = cur[active]
+            p = rows.pred[here] + rows.start[active]
+            hops.append((active, rows.nodes[p], rows.nodes[here], np.full(active.shape[0], step)))
             cur[active] = p
-            active = active[p != u[active]]
+            active = active[rows.pred[p] >= 0]  # stop at the source
             step += 1
         if not hops:
             return dist, depth, np.empty(0, dtype=np.int64), road_start
         path, hop_from, hop_to, hop_step = (np.concatenate(col) for col in zip(*hops))
-        keep = np.isfinite(dist[path])
-        path = path[keep]
         depth = np.bincount(path, minlength=count)
         np.cumsum(depth[:-1], out=road_start[1:])
         # Hop ``s`` counted back from the target is the path's
         # ``depth - 1 - s``-th road.
         roads = np.empty(path.shape[0], dtype=np.int64)
-        roads[road_start[path] + depth[path] - 1 - hop_step[keep]] = csr.segments_between(
-            hop_from[keep], hop_to[keep]
+        roads[road_start[path] + depth[path] - 1 - hop_step] = csr.segments_between(
+            hop_from, hop_to
         )
         return dist, depth, roads, road_start
 
@@ -675,6 +845,12 @@ class ShortestPathEngine:
     def cached_sources(self) -> int:
         """Number of source nodes with a memoised Dijkstra result."""
         return self._backend.cached_sources
+
+    @property
+    def cached_row_bytes(self) -> int:
+        """Bytes held by the memoised Dijkstra rows' arrays (0 on the heap
+        backend, whose rows are dicts)."""
+        return self._backend.cached_bytes
 
     def cache_stats(self) -> dict[str, int]:
         """Route-cache hit/miss counters plus cache occupancy."""

@@ -389,7 +389,7 @@ class UbodtRouter:
     def route_many(self, pairs: Sequence[tuple[int, int]]) -> list[Route | None]:
         """Batched :meth:`route`: one Dijkstra call warms all fallback pairs."""
         segments = self.network.segments
-        need: list[int] = []
+        need: list[tuple[int, int]] = []
         for from_segment, to_segment in pairs:
             if from_segment == to_segment:
                 continue
@@ -398,9 +398,9 @@ class UbodtRouter:
             if src.end_node == dst.start_node:
                 continue
             if self.table.lookup(src.end_node, dst.start_node) is None:
-                need.append(src.end_node)
+                need.append((src.end_node, dst.start_node))
         if need:
-            self.fallback.prime_sources(need)
+            self.fallback.prime_node_pairs(need)
         return [self.route(a, b) for a, b in pairs]
 
     def route_length(self, from_segment: int, to_segment: int) -> float:

@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.geometry import Point, Polyline
-from repro.network import RoadNetwork, RoadSegment, Route, ShortestPathEngine
+from repro.network import (
+    CityConfig,
+    RoadNetwork,
+    RoadSegment,
+    Route,
+    ShortestPathEngine,
+    generate_city_network,
+)
 from repro.network.shortest_path import stitch_segments
 
 
@@ -131,6 +138,25 @@ class TestSegmentRouting:
         assert stats["route_cache_misses"] == 1
         engine.clear_cache()
         assert engine.cache_stats()["route_cache_entries"] == 0
+
+    @pytest.mark.parametrize("use_scipy", [True, False])
+    def test_zero_source_cache_answers_like_a_full_one(self, use_scipy):
+        """Lookups answer from the search they just ran, not the LRU."""
+        net = generate_city_network(CityConfig(grid_rows=6, grid_cols=6), rng=1)
+        segs = sorted(net.segments)
+        a, b = segs[0], segs[40]
+        u, v = net.segments[a].end_node, net.segments[b].start_node
+        full = ShortestPathEngine(net, use_scipy=use_scipy)
+        engine = ShortestPathEngine(net, use_scipy=use_scipy, source_cache_size=0)
+        assert full.route(a, b) is not None
+        assert engine.route(a, b) == full.route(a, b)
+        assert engine.route_block([(a, b)]).route(0) == full.route(a, b)
+        assert engine.route_many([(b, a), (a, b)]) == full.route_many([(b, a), (a, b)])
+        assert engine.node_distance(u, v) == full.node_distance(u, v) < math.inf
+        assert engine.node_path_segments(u, v) == full.node_path_segments(u, v)
+        nodes = sorted(net.nodes)
+        assert (engine.distances(nodes, nodes) == full.distances(nodes, nodes)).all()
+        assert engine.cached_sources == 0
 
     def test_route_cache_is_bounded(self):
         engine = ShortestPathEngine(line_network(8), route_cache_size=4)
