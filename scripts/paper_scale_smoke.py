@@ -5,9 +5,13 @@ The Hangzhou-like preset at scale 7.0 has ~97.5k segments and ~28k nodes,
 close to the paper's 92k-segment city.  The script generates it, fits the
 small model shape the benchmark uses on a few training trips, matches the
 held-out trips with the batched pipeline, and re-decodes each with the
-scalar pipeline and the reference trellis.  It prints the per-trip match
-time, the peak RSS and the bytes held by the routing engine's cached
-Dijkstra rows, and exits 1 when any trip differs from the oracle.
+scalar pipeline and the reference trellis.  It also checks the batched
+candidate pools: the ring search of ``segments_near_many`` over every
+distinct held-out position against the per-point full-radius
+``segments_near(p, r)[:limit]`` (ids here run far past a small hash
+table's size, so equal-distance ties are common).  It prints the per-trip
+match time, the peak RSS and the bytes held by the routing engine's cached
+Dijkstra rows, and exits 1 when any pool or trip differs from its oracle.
 
 Usage::
 
@@ -83,6 +87,26 @@ def main(argv: list[str] | None = None) -> int:
     )
 
     cfg = model.config
+    positions = list(
+        {(p.position.x, p.position.y): p.position for s in heldout for p in s.cellular.points}
+        .values()
+    )
+    network._near_memo.clear()
+    tick = time.perf_counter()
+    pools = network.segments_near_many(positions, cfg.candidate_radius_m, cfg.candidate_pool)
+    ring_s = time.perf_counter() - tick
+    tick = time.perf_counter()
+    spec = [
+        network.segments_near(p, cfg.candidate_radius_m)[: cfg.candidate_pool]
+        for p in positions
+    ]
+    spec_s = time.perf_counter() - tick
+    pools_differ = sum(pool != want for pool, want in zip(pools, spec))
+    print(
+        f"candidate pools: {len(positions)} positions, ring search {ring_s:.2f} s, "
+        f"full-radius queries {spec_s:.2f} s, {pools_differ} differ"
+    )
+
     cfg.pipeline_impl, cfg.trellis_impl = "scalar", "reference"
     differ = [
         sample.sample_id
@@ -93,6 +117,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"peak RSS {peak_mb:.0f} MB; total {time.perf_counter() - start:.1f} s")
     if differ:
         print(f"{len(differ)}/{len(heldout)} trips differ from the scalar oracle: {differ}")
+    if differ or pools_differ:
         return 1
     print(f"all {len(heldout)} trips equal the scalar pipeline + reference trellis")
     return 0

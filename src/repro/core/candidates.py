@@ -76,9 +76,10 @@ class CandidatePoolCache:
     tower's exact location) ask the same spatial question over and over;
     this cache answers each distinct ``(tower_id, x, y)`` key once.  Misses
     are resolved in bulk through the network's stacked spatial kernel
-    (:meth:`RoadNetwork.segments_near_many`), so a cold trajectory costs one
-    vectorised pass rather than one index round-trip per point.  Pools are
-    returned as fresh lists, and equal exactly what
+    (:meth:`RoadNetwork.segments_near_many`), which asks the map for
+    each position's ``limit`` nearest roads only, so a cold trajectory
+    costs one vectorised ring search rather than one full-radius query
+    per point.  Pools are returned as fresh lists, and equal exactly what
     :func:`learned_candidate_pool` returns for the same point — including
     the nearest-road fallback and the :class:`InvalidTrajectoryInput`
     raised at the *first* failing point in input order.
@@ -207,7 +208,7 @@ class CandidatePoolCache:
         """Learned pools of ``points`` via one stacked spatial query."""
         network = self.graph.network
         spatial = network.segments_near_many(
-            [p.position for p in points], self.radius_m
+            [p.position for p in points], self.radius_m, self.limit
         )
         pools = []
         for point, near in zip(points, spatial):

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.core.candidates import learned_candidate_pool, spatial_candidate_pool
+from repro.core.candidates import CandidatePoolCache
 from repro.core.checkpoint import CheckpointManager
 from repro.core.config import LHMMConfig
 from repro.core.features import observation_feature_matrix, transition_features
@@ -138,8 +138,20 @@ class LHMMTrainer:
             name: param.data.copy() for name, param in self._tracked_parameters()
         }
         # Candidate pools are repeatedly needed for the same points across
-        # epochs and stages; cache them per (sample, point).
-        self._pool_cache: dict[tuple[int, int], list[int]] = {}
+        # epochs and stages; memoise them per tower position, with and
+        # without the co-occurrence extension.
+        self._learned_pools = CandidatePoolCache(
+            graph,
+            config.candidate_radius_m,
+            config.candidate_pool,
+            include_cooccurrence=config.extend_pool_with_cooccurrence,
+        )
+        self._spatial_pools = CandidatePoolCache(
+            graph,
+            config.candidate_radius_m,
+            config.candidate_pool,
+            include_cooccurrence=False,
+        )
         # Divergence-rollback bookkeeping (persisted in checkpoints).
         self._rollbacks = 0
         self._lr_scale = 1.0
@@ -570,38 +582,17 @@ class LHMMTrainer:
         return Tensor(self.node_embeddings)
 
     def _point_pool(self, sample: MatchingSample, point_index: int) -> list[int]:
-        """Cached learned candidate pool for one trajectory point."""
-        key = (sample.sample_id, point_index)
-        pool = self._pool_cache.get(key)
-        if pool is None:
-            pool = learned_candidate_pool(
-                self.graph,
-                sample.cellular.points[point_index],
-                self.config.candidate_radius_m,
-                self.config.candidate_pool,
-                include_cooccurrence=self.config.extend_pool_with_cooccurrence,
-            )
-            self._pool_cache[key] = pool
-        return pool
+        """Learned candidate pool (``learned_candidate_pool``) of one point."""
+        return self._learned_pools.pools([sample.cellular.points[point_index]])[0]
 
     def _spatial_pool(self, sample: MatchingSample, point_index: int) -> list[int]:
-        """Cached distance-ordered pool (no co-occurrence extension).
+        """Distance-ordered pool (no co-occurrence extension) of one point.
 
         Stage-1 negatives must come from the spatial vicinity only:
         extending them with the tower's co-occurring roads would label the
         co-occurrence signal itself as negative and wash it out.
         """
-        key = (-sample.sample_id - 1, point_index)
-        pool = self._pool_cache.get(key)
-        if pool is None:
-            pool = spatial_candidate_pool(
-                self.graph.network,
-                sample.cellular.points[point_index],
-                self.config.candidate_radius_m,
-                self.config.candidate_pool,
-            )
-            self._pool_cache[key] = pool
-        return pool
+        return self._spatial_pools.pools([sample.cellular.points[point_index]])[0]
 
     # -------------------------------------------------- stage 1: obs pretrain
     def _sample_negatives(

@@ -13,11 +13,13 @@ from repro.geometry.segment import (
     point_to_segment_distance,
     project_point_to_segment,
 )
+from repro.geometry.cell_index import CellIndex
 from repro.geometry.grid_index import GridIndex
 
 __all__ = [
     "Point",
     "Polyline",
+    "CellIndex",
     "GridIndex",
     "bearing_deg",
     "euclidean",

@@ -1,9 +1,10 @@
 """A uniform-grid spatial index over point-locatable items.
 
-The library needs millions of "which road segments / towers are near this
-point?" queries.  A uniform grid keyed by cell coordinates gives O(1)
-insertion and near-O(result) range queries, which is both simpler and faster
-at city scale than tree indexes for the densities we generate.
+Cell towers answer "which towers are near this point?" from a uniform grid
+keyed by cell coordinates: O(1) insertion and near-O(result) range queries,
+simpler and faster at city scale than tree indexes for the densities we
+generate.  (Road segments use the array-backed
+:class:`~repro.geometry.cell_index.CellIndex` instead.)
 """
 
 from __future__ import annotations
@@ -102,28 +103,11 @@ class GridIndex(Generic[T]):
         )
         return math.hypot(far_x, far_y) + self.cell_size
 
-    def items_in_box(self, center: Point, radius: float) -> set[T]:
-        """Items whose cell intersects the axis-aligned box around ``center``.
-
-        A cheap pre-filter: no exact distances are computed.  Callers that
-        own better geometry (e.g. the road network's vectorised segment
-        distances) refine this set themselves.
-        """
-        return set(self._candidates_in_box(center, radius))
-
-    def items_in_boxes(self, centers: Iterable[Point], radius: float) -> list[set[T]]:
-        """:meth:`items_in_box` for many centers, aligned with ``centers``."""
-        return [set(self._candidates_in_box(center, radius)) for center in centers]
-
     def _candidates_in_box(self, center: Point, radius: float) -> set[T]:
         lo_x = math.floor((center.x - radius) / self.cell_size)
         hi_x = math.floor((center.x + radius) / self.cell_size)
         lo_y = math.floor((center.y - radius) / self.cell_size)
         hi_y = math.floor((center.y + radius) / self.cell_size)
-        # One update over the occupied cells, in (cx, cy) walk order: the
-        # same merges, in the same order, as one update per cell, so the
-        # set's iteration order (which candidate retrieval relies on) is
-        # unchanged.
         found: set[T] = set()
         if (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(self._cells):
             # Large box: scanning the occupied cells beats walking the box.
@@ -135,7 +119,6 @@ class GridIndex(Generic[T]):
                 )
             )
             return found
-        # product() walks cx-major, cy-minor, like the nested loops would;
         # filter() drops missing (None) and empty cells.
         cells = map(
             self._cells.get, product(range(lo_x, hi_x + 1), range(lo_y, hi_y + 1))

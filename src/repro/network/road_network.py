@@ -2,7 +2,7 @@
 
 A :class:`RoadNetwork` is the substrate every matcher in this library runs
 on: a set of intersection nodes plus directed road segments between them,
-with a uniform-grid spatial index for "segments near this point" queries
+with a sorted-cell spatial index for "segments near this point" queries
 (candidate retrieval) and adjacency structures for routing.
 """
 
@@ -14,24 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.geometry import GridIndex, Point, Polyline
-
-
-def _ragged_ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated ``arange(start, start + count)`` per element, loop-free.
-
-    Every count must be >= 1 (sub-segment spans always are: a polyline has
-    at least one sub-segment).
-    """
-    total = int(counts.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    out = np.ones(total, dtype=np.int64)
-    out[0] = starts[0]
-    if counts.shape[0] > 1:
-        boundaries = np.cumsum(counts)[:-1]
-        out[boundaries] = starts[1:] - (starts[:-1] + counts[:-1] - 1)
-    return np.cumsum(out)
+from repro.geometry import CellIndex, Point, Polyline
+from repro.geometry.cell_index import ragged_ranges
 
 
 @dataclass(frozen=True)
@@ -161,7 +145,10 @@ class RoadNetwork:
     segments: dict[int, RoadSegment] = field(default_factory=dict)
     _out: dict[int, list[int]] = field(default_factory=dict, repr=False)
     _in: dict[int, list[int]] = field(default_factory=dict, repr=False)
-    _index: GridIndex | None = field(default=None, repr=False)
+    # Every segment is registered in the cell index at points at most
+    # _index_sample_step apart along each sub-segment, so a box of
+    # half-width r + _index_sample_step holds every segment within r.
+    _index: CellIndex | None = field(default=None, repr=False)
     _index_sample_step: float = field(default=150.0, repr=False)
     # Flattened sub-segment geometry for vectorised distance queries:
     # _sub_geometry rows are (ax, ay, dx, dy, len_sq); _sub_rows maps each
@@ -181,7 +168,7 @@ class RoadNetwork:
     _turn_sums: dict[int, float] | None = field(default=None, repr=False)
     _headings: dict[int, float] | None = field(default=None, repr=False)
     _turn_dense: "tuple[np.ndarray, np.ndarray] | None" = field(default=None, repr=False)
-    _near_memo: dict[tuple[float, float, float], tuple[int, ...]] = field(
+    _near_memo: dict[tuple[float, float, float, int], tuple[int, ...]] = field(
         default_factory=dict, repr=False
     )
 
@@ -215,12 +202,10 @@ class RoadNetwork:
 
     def freeze(self) -> "RoadNetwork":
         """Build the spatial index and geometry tables; returns ``self``."""
-        index: GridIndex[int] = GridIndex(cell_size=max(self._index_sample_step, 100.0))
         rows: list[tuple[float, float, float, float, float]] = []
         raw_len_sq: list[float] = []
         self._sub_rows = {}
         for seg in self.segments.values():
-            index.insert_many(seg.segment_id, self._sample_points(seg))
             start = len(rows)
             points = seg.polyline.points
             for a, b in zip(points, points[1:]):
@@ -237,18 +222,30 @@ class RoadNetwork:
         for sid, (lo, hi) in self._sub_rows.items():
             self._span_starts[sid] = lo
             self._span_counts[sid] = hi - lo
-        self._index = index
+        self._index = self._build_cell_index()
         return self
 
-    def _sample_points(self, seg: RoadSegment) -> list[Point]:
-        """Representative points for the spatial index (ends + interior)."""
-        points = [seg.polyline.start, seg.polyline.end]
+    def _build_cell_index(self) -> CellIndex:
+        """Register every sub-segment at both ends and evenly in between.
+
+        A sub-segment of length ``L`` gets ``ceil(L / step) + 1`` points,
+        so consecutive points are at most one sample step apart.
+        """
+        sub = self._sub_geometry.reshape(-1, 5)
         step = self._index_sample_step
-        offset = step
-        while offset < seg.length:
-            points.append(seg.polyline.interpolate(offset))
-            offset += step
-        return points
+        pieces = np.maximum(np.ceil(np.sqrt(self._sub_raw_len_sq) / step), 1.0)
+        points = pieces.astype(np.int64) + 1
+        row = np.repeat(np.arange(sub.shape[0], dtype=np.int64), points)
+        k = ragged_ranges(np.zeros(sub.shape[0], dtype=np.int64), points)
+        t = k / pieces[row]
+        sids = np.fromiter(self._sub_rows, dtype=np.int64, count=len(self._sub_rows))
+        owner = np.repeat(sids, self._span_counts[sids])
+        return CellIndex(
+            sub[row, 0] + t * sub[row, 2],
+            sub[row, 1] + t * sub[row, 3],
+            owner[row],
+            cell_size=max(step, 100.0),
+        )
 
     # ----------------------------------------------------------------- access
     @property
@@ -384,7 +381,7 @@ class RoadNetwork:
         No numeric data is copied: the network's vectorised kernels and
         the CSR adjacency operate directly on the caller's buffers, so N
         worker processes adopting the same segment share one copy of the
-        map.  The small Python-side lookups (grid index, ``_sub_rows``,
+        map.  The small lookups (cell index, ``_sub_rows``,
         node-id dict) are rebuilt or kept as-is; query results are
         bit-identical to the donor network's.
         """
@@ -392,8 +389,8 @@ class RoadNetwork:
         if missing:
             raise ValueError(f"adopt_shared_state: missing arrays {missing}")
         if self._index is None:
-            # The grid index and _sub_rows spans are cheap Python-side
-            # structures freeze() builds; the freshly built numeric tables
+            # The cell index and _sub_rows spans are cheap structures
+            # freeze() builds; the freshly built geometry tables
             # are immediately replaced by the shared buffers below.
             self.freeze()
         from scipy.sparse import csr_matrix
@@ -431,58 +428,67 @@ class RoadNetwork:
         return (min(xs), min(ys), max(xs), max(ys))
 
     # ---------------------------------------------------------------- spatial
-    def _require_index(self) -> GridIndex:
+    def _require_index(self) -> CellIndex:
         if self._index is None:
             self.freeze()
         assert self._index is not None
         return self._index
 
+    def _near_distances(
+        self, px: np.ndarray, py: np.ndarray, segment_ids: np.ndarray
+    ) -> np.ndarray:
+        """Clamped-projection distance of each ``(px[i], py[i])`` to ``segment_ids[i]``.
+
+        The one distance every near query compares with its radius, so the
+        scalar and batched queries agree to the last bit.
+        """
+        if not len(segment_ids):
+            return np.empty(0)
+        starts, counts = self._segment_spans(segment_ids)
+        rows = ragged_ranges(starts, counts)
+        sub = self._sub_geometry[rows]
+        rel_x = np.repeat(px, counts) - sub[:, 0]
+        rel_y = np.repeat(py, counts) - sub[:, 1]
+        t = np.clip((rel_x * sub[:, 2] + rel_y * sub[:, 3]) / sub[:, 4], 0.0, 1.0)
+        dist_sq = (rel_x - t * sub[:, 2]) ** 2 + (rel_y - t * sub[:, 3]) ** 2
+        offsets = np.zeros(len(segment_ids), dtype=np.int64)
+        np.cumsum(counts[:-1], out=offsets[1:])
+        return np.sqrt(np.minimum.reduceat(dist_sq, offsets))
+
     def distances_to_segments(self, p: Point, segment_ids: list[int]) -> np.ndarray:
         """Exact distance from ``p`` to each listed segment, vectorised."""
         self._require_index()
-        assert self._sub_geometry is not None
-        if not segment_ids:
-            return np.empty(0)
-        spans = [self._sub_rows[s] for s in segment_ids]
-        row_idx = np.concatenate([np.arange(lo, hi) for lo, hi in spans])
-        counts = np.array([hi - lo for lo, hi in spans])
-        sub = self._sub_geometry[row_idx]
-        rel_x = p.x - sub[:, 0]
-        rel_y = p.y - sub[:, 1]
-        t = np.clip((rel_x * sub[:, 2] + rel_y * sub[:, 3]) / sub[:, 4], 0.0, 1.0)
-        dist_sq = (rel_x - t * sub[:, 2]) ** 2 + (rel_y - t * sub[:, 3]) ** 2
-        offsets = np.concatenate([[0], np.cumsum(counts)[:-1]])
-        return np.sqrt(np.minimum.reduceat(dist_sq, offsets))
+        n = len(segment_ids)
+        return self._near_distances(
+            np.full(n, p.x), np.full(n, p.y), np.asarray(segment_ids, dtype=np.int64)
+        )
 
     def segments_near(self, p: Point, radius: float) -> list[int]:
         """Segment ids whose geometry lies within ``radius`` metres of ``p``.
 
-        The grid-index pre-filter is refined with exact, vectorised polyline
-        distances; the result is sorted by true distance, nearest first.
+        The cell-index box is refined with exact, vectorised polyline
+        distances.  The result is ordered by (distance, segment id):
+        nearest first, and equally near segments (a two-way road's twins,
+        roads meeting at the nearest node) by ascending id.  This is the
+        candidate order every other near query reproduces.
         """
-        rough = list(
-            self._require_index().items_in_box(p, radius + self._index_sample_step)
+        _, rough, _ = self._require_index().boxes(
+            np.array([p.x]), np.array([p.y]), radius + self._index_sample_step
         )
-        if not rough:
+        if not rough.size:
             return []
         distances = self.distances_to_segments(p, rough)
         keep = distances <= radius
-        order = np.argsort(distances[keep], kind="stable")
-        kept_ids = np.asarray(rough)[keep]
-        return [int(s) for s in kept_ids[order]]
+        kept_ids = rough[keep]
+        return kept_ids[np.lexsort((kept_ids, distances[keep]))].tolist()
 
     def nearest_segments(self, p: Point, count: int = 1, max_radius: float = 8000.0) -> list[int]:
         """The ``count`` nearest segments to ``p`` by exact distance.
 
-        Expands the search radius geometrically until enough segments are
-        found or ``max_radius`` is reached.
+        Exactly ``segments_near(p, max_radius)[:count]``, answered by the
+        ring search of :meth:`segments_near_many` (no memo).
         """
-        radius = max(self._index_sample_step * 2, 200.0)
-        while True:
-            found = self.segments_near(p, radius)
-            if len(found) >= count or radius >= max_radius:
-                return found[:count]
-            radius = min(radius * 2.0, max_radius)
+        return list(self._k_nearest(np.array([[p.x, p.y]]), max_radius, count)[0])
 
     # --------------------------------------------------------- batched spatial
     def _segment_spans(self, segment_ids: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
@@ -501,93 +507,87 @@ class RoadNetwork:
         return starts, counts
 
     def segments_near_many(
-        self, points: Sequence[Point], radius: float
+        self, points: Sequence[Point], radius: float, limit: int
     ) -> list[list[int]]:
-        """:meth:`segments_near` for every point in one stacked distance pass.
+        """``[self.segments_near(p, radius)[:limit] for p in points]``, batched.
 
-        Returns exactly ``[self.segments_near(p, radius) for p in points]``
-        — same rough-candidate enumeration order, same clamped-projection
-        distances, same stable nearest-first sort — while deduplicating
-        repeated query positions (consecutive cellular samples often share
-        a tower location) and refining every rough set in a single
-        vectorised computation instead of one numpy round-trip per point.
-        Refined answers are memoised per ``(x, y, radius)`` across calls
-        (cellular workloads re-ask the same tower positions trajectory
-        after trajectory); the memo is invalidated when the network gains
-        segments and capped at :data:`NEAR_MEMO_MAX` entries.
+        Repeated query positions are answered once, and answers are
+        memoised per ``(x, y, radius, limit)`` across calls (cellular
+        workloads re-ask the same tower positions trip after trip); the
+        memo is invalidated when the network gains segments and capped at
+        :data:`NEAR_MEMO_MAX` entries.  Misses are resolved by the ring
+        search of :meth:`_k_nearest`, all positions together.
         """
-        index = self._require_index()
-        assert self._sub_geometry is not None
+        self._require_index()
         memo = self._near_memo
         if len(memo) > self.NEAR_MEMO_MAX:
             memo.clear()
-        unique: dict[tuple[float, float], int] = {}
-        point_to_unique: list[int] = []
-        uniq_points: list[Point] = []
-        for p in points:
-            key = (p.x, p.y)
-            slot = unique.setdefault(key, len(unique))
-            if slot == len(uniq_points):
-                uniq_points.append(p)
-            point_to_unique.append(slot)
-        results: list[tuple[int, ...] | None] = [
-            memo.get((p.x, p.y, radius)) for p in uniq_points
-        ]
-        pending = [u for u, r in enumerate(results) if r is None]
+        keys = [(p.x, p.y) for p in points]
+        answers: dict[tuple[float, float], tuple[int, ...]] = {}
+        pending: list[tuple[float, float]] = []
+        for key in dict.fromkeys(keys):
+            found = memo.get((*key, radius, limit))
+            if found is None:
+                pending.append(key)
+            else:
+                answers[key] = found
         if pending:
-            boxes = index.items_in_boxes(
-                [uniq_points[u] for u in pending], radius + self._index_sample_step
-            )
-            rough_lists = [list(box) for box in boxes]
-            for slot, u in enumerate(pending):
-                if not rough_lists[slot]:
-                    results[u] = ()
-                    memo[(uniq_points[u].x, uniq_points[u].y, radius)] = ()
-            active = [
-                (slot, u)
-                for slot, u in enumerate(pending)
-                if rough_lists[slot]
-            ]
-            if active:
-                pair_ids = [s for slot, _ in active for s in rough_lists[slot]]
-                pair_counts = np.array(
-                    [len(rough_lists[slot]) for slot, _ in active], dtype=np.int64
-                )
-                starts, counts = self._segment_spans(pair_ids)
-                rows = _ragged_ranges(starts, counts)
-                sub = self._sub_geometry[rows]
-                px = np.repeat(
-                    np.repeat(
-                        [uniq_points[u].x for _, u in active], pair_counts
-                    ),
-                    counts,
-                )
-                py = np.repeat(
-                    np.repeat(
-                        [uniq_points[u].y for _, u in active], pair_counts
-                    ),
-                    counts,
-                )
-                rel_x = px - sub[:, 0]
-                rel_y = py - sub[:, 1]
-                t = np.clip(
-                    (rel_x * sub[:, 2] + rel_y * sub[:, 3]) / sub[:, 4], 0.0, 1.0
-                )
-                dist_sq = (rel_x - t * sub[:, 2]) ** 2 + (rel_y - t * sub[:, 3]) ** 2
-                offsets = np.zeros(len(pair_ids), dtype=np.int64)
-                np.cumsum(counts[:-1], out=offsets[1:])
-                distances = np.sqrt(np.minimum.reduceat(dist_sq, offsets))
-                cursor = 0
-                for (slot, u), m in zip(active, pair_counts):
-                    d = distances[cursor : cursor + m]
-                    cursor += m
-                    keep = d <= radius
-                    order = np.argsort(d[keep], kind="stable")
-                    kept_ids = np.asarray(rough_lists[slot])[keep]
-                    refined = tuple(kept_ids[order].tolist())
-                    results[u] = refined
-                    memo[(uniq_points[u].x, uniq_points[u].y, radius)] = refined
-        return [list(results[u]) for u in point_to_unique]  # type: ignore[arg-type]
+            found_all = self._k_nearest(np.array(pending, dtype=np.float64), radius, limit)
+            for key, found in zip(pending, found_all):
+                answers[key] = memo[(*key, radius, limit)] = found
+        return [list(answers[key]) for key in keys]
+
+    def _first_ring(self, limit: int) -> float:
+        """Radius of a disc holding about ``limit`` segments at mean density.
+
+        Density is segments per occupied cell area, so a sparse suburb
+        starts with the same ring as downtown and simply doubles it more.
+        """
+        index = self._require_index()
+        area = index.num_cells * index.cell_size**2
+        return math.sqrt(max(limit, 1) * area / (math.pi * max(self.num_segments, 1)))
+
+    def _k_nearest(
+        self, xy: np.ndarray, radius: float, limit: int
+    ) -> list[tuple[int, ...]]:
+        """``segments_near(p, radius)[:limit]`` for each row ``p`` of ``xy``.
+
+        Searches in doubling rings.  The box of ring ``r`` has half-width
+        ``r`` plus the sample step, so it holds every segment within ``r``;
+        once at least ``limit`` of them lie within ``r``, the ``limit``
+        nearest (ties included) all do, and the ring's answer is exact.  A
+        ring that reaches ``radius``, or whose box covers the whole map,
+        is exact outright.  Each ring level refines every position still
+        searching in one stacked distance pass.
+        """
+        index = self._require_index()
+        out: list[tuple[int, ...]] = [()] * xy.shape[0]
+        todo = np.arange(xy.shape[0])
+        ring = min(radius, self._first_ring(limit))
+        while todo.size:
+            xs, ys = xy[todo, 0], xy[todo, 1]
+            owner, ids, covers = index.boxes(xs, ys, ring + self._index_sample_step)
+            distances = self._near_distances(xs[owner], ys[owner], ids)
+            bound = np.where(covers | (ring >= radius), radius, ring)
+            keep = distances <= bound[owner]
+            owner, ids, distances = owner[keep], ids[keep], distances[keep]
+            counts = np.bincount(owner, minlength=todo.size)
+            done = (bound == radius) | (counts >= limit)
+            # Each position's roads in the spec's (distance, id) order.
+            order = np.lexsort((ids, distances, owner))
+            owner, ids = owner[order], ids[order]
+            rank = np.arange(owner.shape[0]) - (np.cumsum(counts) - counts)[owner]
+            taken = done[owner] & (rank < limit)
+            flat = ids[taken].tolist()
+            cursor = 0
+            for slot, n in zip(
+                np.flatnonzero(done).tolist(), np.minimum(counts, limit)[done].tolist()
+            ):
+                out[int(todo[slot])] = tuple(flat[cursor : cursor + n])
+                cursor += n
+            todo = todo[~done]
+            ring *= 2.0
+        return out
 
     #: Distance-matrix elements per pass of :meth:`segments_within`.
     WITHIN_CHUNK = 1 << 16
@@ -613,7 +613,7 @@ class RoadNetwork:
             return np.zeros(n, dtype=bool)
         xy = np.array(unique, dtype=np.float64)
         starts, counts = self._segment_spans(segment_ids)
-        sub = self._sub_geometry[_ragged_ranges(starts, counts)]
+        sub = self._sub_geometry[ragged_ranges(starts, counts)]
         best = np.full(sub.shape[0], np.inf)
         step = max(1, self.WITHIN_CHUNK // sub.shape[0])
         for lo in range(0, xy.shape[0], step):
@@ -625,25 +625,6 @@ class RoadNetwork:
         offsets = np.zeros(n, dtype=np.int64)
         np.cumsum(counts[:-1], out=offsets[1:])
         return np.sqrt(np.minimum.reduceat(best, offsets)) <= radius
-
-    def nearest_segments_many(
-        self, points: Sequence[Point], count: int = 1, max_radius: float = 8000.0
-    ) -> list[list[int]]:
-        """:meth:`nearest_segments` per point, deduplicating repeated positions.
-
-        The doubling radius differs per point, so each unique position runs
-        the scalar expansion; repeated positions reuse the answer.
-        """
-        cache: dict[tuple[float, float], list[int]] = {}
-        out: list[list[int]] = []
-        for p in points:
-            key = (p.x, p.y)
-            found = cache.get(key)
-            if found is None:
-                found = self.nearest_segments(p, count=count, max_radius=max_radius)
-                cache[key] = found
-            out.append(list(found))
-        return out
 
     def point_segment_distances(
         self, px: np.ndarray, py: np.ndarray, segment_ids: Sequence[int]
@@ -663,7 +644,7 @@ class RoadNetwork:
         if n == 0:
             return np.empty(0)
         starts, counts = self._segment_spans(segment_ids)
-        rows = _ragged_ranges(starts, counts)
+        rows = ragged_ranges(starts, counts)
         sub = self._sub_geometry[rows]
         raw = self._sub_raw_len_sq[rows]
         ppx = np.repeat(np.asarray(px, dtype=np.float64), counts)

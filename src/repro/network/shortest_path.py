@@ -46,7 +46,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.network.road_network import RoadNetwork, _ragged_ranges
+from repro.geometry.cell_index import ragged_ranges
+from repro.network.road_network import RoadNetwork
 
 try:  # pragma: no cover - import guard exercised only without scipy
     from scipy.sparse.csgraph import dijkstra as _csgraph_dijkstra
@@ -349,7 +350,7 @@ class _ScipyBackend:
         head = np.flatnonzero((pred >= 0) & prone)
         node = head % n
         degree = into.indptr[node + 1] - into.indptr[node]
-        edges = _ragged_ranges(into.indptr[node], degree)
+        edges = ragged_ranges(into.indptr[node], degree)
         at = np.repeat(head, degree)
         row_base = at - np.repeat(node, degree)
         x = row_base + into.indices[edges]
@@ -741,8 +742,8 @@ class ShortestPathEngine:
         two_plus = counts > 1
         segment_ids[offsets[1:][two_plus] - 1] = b[two_plus]
         if walk.shape[0]:
-            segment_ids[_ragged_ranges(offsets[walk] + 1, depth[which])] = roads[
-                _ragged_ranges(road_start[which], depth[which])
+            segment_ids[ragged_ranges(offsets[walk] + 1, depth[which])] = roads[
+                ragged_ranges(road_start[which], depth[which])
             ]
         return RouteBlock(found, lengths, offsets, segment_ids)
 

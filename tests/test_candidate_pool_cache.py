@@ -63,9 +63,9 @@ def test_repeat_towers_skip_the_spatial_kernel(graph, tower_points, monkeypatch)
     calls = []
     original = type(network).segments_near_many
 
-    def counting(self, points, radius):
+    def counting(self, points, radius, limit):
         calls.append(len(points))
-        return original(self, points, radius)
+        return original(self, points, radius, limit)
 
     monkeypatch.setattr(type(network), "segments_near_many", counting)
     first = cache.pools(tower_points)

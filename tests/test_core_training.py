@@ -62,12 +62,15 @@ class TestSampling:
         assert len(negatives) <= 5
         assert not truth.intersection(negatives)
 
-    def test_pool_cache_reused(self, trainer_setup, tiny_dataset):
+    def test_pool_cache_reused(self, trainer_setup, tiny_dataset, monkeypatch):
         trainer, _ = trainer_setup
         sample = tiny_dataset.train[1]
         first = trainer._point_pool(sample, 0)
-        second = trainer._point_pool(sample, 0)
-        assert first is second
+        network = type(trainer.graph.network)
+        monkeypatch.setattr(
+            network, "segments_near_many", lambda *a, **k: pytest.fail("pool not cached")
+        )
+        assert trainer._point_pool(sample, 0) == first
 
     def test_transition_pairs_include_truth_transition(self, trainer_setup, tiny_dataset):
         trainer, _ = trainer_setup

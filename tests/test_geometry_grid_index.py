@@ -1,11 +1,12 @@
-"""Tests for repro.geometry.grid_index."""
+"""Tests for repro.geometry.grid_index and its array sibling, cell_index."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.geometry import GridIndex, Point
+from repro.geometry import CellIndex, GridIndex, Point
 
 
 class TestGridIndex:
@@ -58,15 +59,6 @@ class TestGridIndex:
         index: GridIndex[int] = GridIndex(50)
         assert index.query_nearest(Point(0, 0), count=3) == []
 
-    def test_items_in_box_is_superset_of_radius(self):
-        index: GridIndex[int] = GridIndex(100)
-        for i in range(20):
-            index.insert(i, Point(i * 37.0, i * 11.0))
-        centre = Point(200, 60)
-        exact = set(index.query_radius(centre, 150))
-        box = index.items_in_box(centre, 150)
-        assert exact <= box
-
     @settings(max_examples=30, deadline=None)
     @given(
         st.lists(
@@ -89,37 +81,39 @@ class TestGridIndex:
         assert set(index.query_radius(centre, radius)) == expected
 
 
-def _per_cell_box(index: GridIndex, center: Point, radius: float) -> set:
-    """The box answer built one ``set.update`` per cell, then copied the way
-    ``items_in_box`` copies: the iteration-order oracle for both branches."""
-    size = index.cell_size
-    lo_x = math.floor((center.x - radius) / size)
-    hi_x = math.floor((center.x + radius) / size)
-    lo_y = math.floor((center.y - radius) / size)
-    hi_y = math.floor((center.y + radius) / size)
-    found: set = set()
-    if (hi_x - lo_x + 1) * (hi_y - lo_y + 1) > len(index._cells):
-        for (cx, cy), cell in index._cells.items():
-            if lo_x <= cx <= hi_x and lo_y <= cy <= hi_y:
-                found.update(cell)
-    else:
-        for cx in range(lo_x, hi_x + 1):
-            for cy in range(lo_y, hi_y + 1):
-                cell = index._cells.get((cx, cy))
-                if cell:
-                    found.update(cell)
-    return set(found)
+def _per_cell_box(items, cell_size: float, center: Point, radius: float) -> list[int]:
+    """The box answer from a dict of per-cell sets, walked cell by cell:
+    the oracle for the array index."""
+    def cell(x: float, y: float) -> tuple[int, int]:
+        return math.floor(x / cell_size), math.floor(y / cell_size)
+
+    cells: dict[tuple[int, int], set[int]] = {}
+    for item, x, y in items:
+        cells.setdefault(cell(x, y), set()).add(item)
+    lo_x, lo_y = cell(center.x - radius, center.y - radius)
+    hi_x, hi_y = cell(center.x + radius, center.y + radius)
+    found: set[int] = set()
+    for cx in range(lo_x, hi_x + 1):
+        for cy in range(lo_y, hi_y + 1):
+            found |= cells.get((cx, cy), set())
+    return sorted(found)
+
+
+def _cell_index(items, cell_size: float = 100.0) -> CellIndex:
+    return CellIndex(
+        np.array([x for _, x, _ in items], dtype=np.float64),
+        np.array([y for _, _, y in items], dtype=np.float64),
+        np.array([item for item, _, _ in items], dtype=np.int64),
+        cell_size,
+    )
 
 
 class TestBoxOrder:
-    """Candidate retrieval sorts box answers stably, so equal-distance roads
-    come out in set-iteration order: the box sets must keep the order the
-    per-cell walk gives.  Large integer ids collide in small hash tables,
-    so that order depends on how each set was built."""
+    """The array index answers a box with every item registered in a cell
+    the box meets, each once, in ascending id order — whatever order the
+    items were registered in."""
 
-    # Radius 0 is always the small-box walk (one cell, at least one
-    # occupied); 10 km is always the large-box scan (more cells than any
-    # grid below occupies).
+    # Radius 0 meets one cell; 10 km covers every grid below.
     RADII = (0.0, 150.0, 400.0, 10_000.0)
 
     @settings(max_examples=60, deadline=None)
@@ -141,13 +135,37 @@ class TestBoxOrder:
             min_size=1,
             max_size=6,
         ),
+        st.randoms(use_true_random=False),
     )
-    def test_box_sets_keep_the_per_cell_order(self, items, centers):
-        index: GridIndex[int] = GridIndex(100)
-        for item, x, y in items:
-            index.insert(item, Point(x, y))
-        centers = [Point(x, y) for x, y in centers]
+    def test_box_equals_the_sorted_per_cell_walk(self, items, centers, rnd):
+        index = _cell_index(items)
+        shuffled = list(items)
+        rnd.shuffle(shuffled)
+        reordered = _cell_index(shuffled)
+        xs = np.array([x for x, _ in centers])
+        ys = np.array([y for _, y in centers])
         for radius in self.RADII:
-            singles = [list(index.items_in_box(c, radius)) for c in centers]
-            assert singles == [list(_per_cell_box(index, c, radius)) for c in centers]
-            assert [list(box) for box in index.items_in_boxes(centers, radius)] == singles
+            expected = [_per_cell_box(items, 100.0, Point(x, y), radius) for x, y in centers]
+            for built in (index, reordered):
+                owner, ids, covers = built.boxes(xs, ys, radius)
+                assert [ids[owner == i].tolist() for i in range(len(centers))] == expected
+                every = sorted({item for item, _, _ in items})
+                for i in np.flatnonzero(covers):
+                    assert expected[i] == every
+
+    def test_box_holds_every_item_within_radius(self):
+        items = [(i, i * 37.0, i * 11.0) for i in range(20)]
+        centre = Point(200, 60)
+        _, ids, covers = _cell_index(items).boxes(
+            np.array([centre.x]), np.array([centre.y]), 150
+        )
+        exact = {i for i, x, y in items if centre.distance_to(Point(x, y)) <= 150}
+        assert exact <= set(ids.tolist())
+        assert not covers[0]
+
+    def test_empty_index(self):
+        index = _cell_index([])
+        owner, ids, covers = index.boxes(np.array([0.0]), np.array([0.0]), math.inf)
+        assert owner.size == ids.size == 0 and covers.tolist() == [True]
+        with pytest.raises(ValueError):
+            CellIndex(np.empty(0), np.empty(0), np.empty(0), cell_size=0)
