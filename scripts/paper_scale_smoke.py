@@ -10,8 +10,9 @@ candidate pools: the ring search of ``segments_near_many`` over every
 distinct held-out position against the per-point full-radius
 ``segments_near(p, r)[:limit]`` (ids here run far past a small hash
 table's size, so equal-distance ties are common).  It prints the per-trip
-match time, the peak RSS and the bytes held by the routing engine's cached
-Dijkstra rows, and exits 1 when any pool or trip differs from its oracle.
+match time, the peak RSS after fit and at the end, and the bytes held by the
+routing engine's cached Dijkstra rows.  It exits 1 when any pool or trip
+differs from its oracle, or when the peak RSS exceeds :data:`PEAK_RSS_MB`.
 
 Usage::
 
@@ -39,6 +40,16 @@ MODEL_SHAPE = dict(
     batch_size=4,
     negatives_per_positive=3,
 )
+
+#: Ceiling on the process's peak RSS.  Training sets the peak: about
+#: 630 MB at x7.0 now that backward frees the autograd graph as it walks
+#: it, against about 1,260 MB when the whole graph lived to the end.
+PEAK_RSS_MB = 900.0
+
+
+def _peak_rss_mb() -> float:
+    """High-water mark of this process's resident set (Linux: KiB)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -70,7 +81,8 @@ def main(argv: list[str] | None = None) -> int:
     print(
         f"hangzhou x{args.scale}: {network.num_segments} segments, "
         f"{network.num_nodes} nodes; generated in {generated - start:.1f} s, "
-        f"fit on {len(train)} trips in {fitted - generated:.1f} s"
+        f"fit on {len(train)} trips in {fitted - generated:.1f} s; "
+        f"peak RSS after fit {_peak_rss_mb():.0f} MB"
     )
 
     seconds, results = [], []
@@ -113,11 +125,13 @@ def main(argv: list[str] | None = None) -> int:
         for sample, result in zip(heldout, results)
         if encode_match_result(model.match(sample.cellular)) != encode_match_result(result)
     ]
-    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    peak_mb = _peak_rss_mb()
     print(f"peak RSS {peak_mb:.0f} MB; total {time.perf_counter() - start:.1f} s")
     if differ:
         print(f"{len(differ)}/{len(heldout)} trips differ from the scalar oracle: {differ}")
-    if differ or pools_differ:
+    if peak_mb > PEAK_RSS_MB:
+        print(f"peak RSS {peak_mb:.0f} MB exceeds the {PEAK_RSS_MB:.0f} MB ceiling")
+    if differ or pools_differ or peak_mb > PEAK_RSS_MB:
         return 1
     print(f"all {len(heldout)} trips equal the scalar pipeline + reference trellis")
     return 0

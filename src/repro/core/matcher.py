@@ -40,6 +40,7 @@ from repro.core.training import LHMMTrainer, TrainingReport
 from repro.core.transition import TransitionLearner
 from repro.core.trellis import UNREACHABLE_SCORE, make_trellis
 from repro.datasets.dataset import MatchingDataset, MatchingSample
+from repro.geometry.cell_index import sorted_unique
 from repro.nn import StateDictMismatch, Tensor, no_grad
 from repro.nn.serialization import config_fingerprint, read_artifact, write_artifact
 from repro.network.router import Router, route_block, route_pairs
@@ -169,8 +170,7 @@ class _LHMMScorer:
         self._step_routes: dict[int, list[Route | None]] = {}
         self._step_probs: dict[int, np.ndarray] = {}
         if tower_embeddings is not None:
-            network = matcher.network
-            self._relevance = np.full(max(network.segments) + 1, 0.5)
+            self._relevance = np.full(matcher.network.segment_id_bound, 0.5)
         if isinstance(routed, RouteBlock):
             self._score_trip(routed)
         else:
@@ -200,7 +200,7 @@ class _LHMMScorer:
         """
         matcher = self._matcher
         if self._relevance is not None:
-            self._score_relevance(np.unique(block.segment_ids).tolist())
+            self._score_relevance(sorted_unique(block.segment_ids).tolist())
         rows, positions = transition_feature_rows(
             matcher.network, block, relevance=self._relevance, straight=straight
         )

@@ -20,6 +20,7 @@ from repro.core.features import transition_feature_rows
 from repro.core.matcher import LHMM
 from repro.core.trellis import UNREACHABLE_SCORE, step_scores, viterbi_layer
 from repro.errors import InvalidTrajectoryInput
+from repro.geometry.cell_index import sorted_unique
 # route_pairs stays bound for perfbench/trace.py, which patches it by name.
 from repro.network.router import route_block, route_pairs  # noqa: F401
 from repro.network.shortest_path import stitch_segments
@@ -112,7 +113,7 @@ class OnlineLHMM:
         )
         relevance = touched = None
         if matcher.transition_learner.use_implicit:
-            touched = np.unique(block.segment_ids)
+            touched = sorted_unique(block.segment_ids)
             relevance = matcher._segment_relevance(towers, touched.tolist())
         straight = self._points[-2].position.distance_to(point.position)
         rows, positions = transition_feature_rows(

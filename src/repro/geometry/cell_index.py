@@ -40,6 +40,27 @@ def _first_of_runs(values: np.ndarray) -> np.ndarray:
     return fresh
 
 
+def sorted_unique(
+    values: np.ndarray, return_inverse: bool = False
+) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+    """``np.unique`` of a 1-D array by sort and mask, with the same output.
+
+    Many times faster than NumPy 2's hash-table ``np.unique`` on int64
+    ids (see :func:`_first_of_runs`).  With ``return_inverse``, also the index of each input in the unique
+    array, so ``unique[inverse] == values``.
+    """
+    values = np.asarray(values)
+    if not return_inverse:
+        ordered = np.sort(values)
+        return ordered[_first_of_runs(ordered)]
+    order = np.argsort(values)
+    ordered = values[order]
+    fresh = _first_of_runs(ordered)
+    inverse = np.empty(order.shape[0], dtype=np.intp)
+    inverse[order] = np.cumsum(fresh) - 1
+    return ordered[fresh], inverse
+
+
 class CellIndex:
     """Integer ids registered at points, bucketed into square cells.
 

@@ -258,6 +258,15 @@ class RoadNetwork:
         """Number of directed road segments."""
         return len(self.segments)
 
+    @property
+    def segment_id_bound(self) -> int:
+        """One past the largest segment id (0 for no segments): the length
+        of arrays indexed by segment id.  :meth:`freeze` sizes its dense
+        span tables with it."""
+        if self._span_starts is None:
+            self.freeze()
+        return int(self._span_starts.shape[0])
+
     def segment(self, segment_id: int) -> RoadSegment:
         """The segment with id ``segment_id`` (KeyError if absent)."""
         return self.segments[segment_id]
@@ -697,7 +706,7 @@ class RoadNetwork:
         """
         if self._turn_dense is None:
             turn_sums, headings = self.turn_geometry()
-            size = (max(self.segments) + 1) if self.segments else 0
+            size = self.segment_id_bound
             ts = np.zeros(size, dtype=np.float64)
             hd = np.zeros(size, dtype=np.float64)
             for sid, value in turn_sums.items():

@@ -46,7 +46,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from repro.geometry.cell_index import ragged_ranges
+from repro.geometry.cell_index import ragged_ranges, sorted_unique
 from repro.network.road_network import RoadNetwork
 
 try:  # pragma: no cover - import guard exercised only without scipy
@@ -243,7 +243,7 @@ class _ScipyBackend:
         """
         csr, xy, _, _ = self._tables()
         n = csr.num_nodes
-        sources, row_of = np.unique(u, return_inverse=True)
+        sources, row_of = sorted_unique(u, return_inverse=True)
         far = np.zeros(sources.shape[0])
         np.maximum.at(far, row_of, np.hypot(*(xy[v] - xy[u]).T))
         limits = _first_pass_limits(far, self._limit)
@@ -271,7 +271,7 @@ class _ScipyBackend:
                 break
             pos[miss] = -1
             todo = [
-                i for i in np.unique(row_of[miss]).tolist() if rows[i].limit < self._limit
+                i for i in sorted_unique(row_of[miss]).tolist() if rows[i].limit < self._limit
             ]
             if not todo:
                 break
@@ -298,7 +298,7 @@ class _ScipyBackend:
         matrix = self._tables()[0].matrix
         out: dict[int, _Row] = {}
         redo = np.zeros(sources.shape[0], dtype=bool)
-        for limit in np.unique(limits).tolist():
+        for limit in sorted_unique(limits).tolist():
             batch = np.flatnonzero(limits == limit)
             dist, pred = _csgraph_dijkstra(
                 matrix, directed=True, indices=sources[batch],
@@ -727,7 +727,7 @@ class ShortestPathEngine:
         counts[direct] = 2
         walk = np.flatnonzero(~same & ~direct)
         # Walk each distinct (end node, start node) pair once.
-        keys, which = np.unique(u[walk] * csr.num_nodes + v[walk], return_inverse=True)
+        keys, which = sorted_unique(u[walk] * csr.num_nodes + v[walk], return_inverse=True)
         dist, depth, roads, road_start = self._node_paths(csr, keys)
         walk_length = dist[which] + seg_length[b[walk]]
         routed = walk_length <= self.max_route_length  # False for inf
@@ -796,7 +796,7 @@ class ShortestPathEngine:
         csr = self.network.csr()
         if self._segment_table is None or self._segment_table[0] is not csr:
             segments = self.network.segments
-            size = max(segments) + 1 if segments else 0
+            size = self.network.segment_id_bound
             start = np.zeros(size, dtype=np.int64)
             end = np.zeros(size, dtype=np.int64)
             length = np.zeros(size, dtype=np.float64)

@@ -25,6 +25,14 @@ from repro.nn.tensor import Tensor
 class AdditiveAttention(Module):
     """Additive (concat) attention with learned projections.
 
+    Known defect, kept because changing it moves accuracy and the golden
+    corpora: the query does not affect the weights.  ``tanh`` is applied
+    to the concatenation ``[W_q q, W_k k]`` elementwise, so the score
+    ``w_score . tanh(...)`` splits into ``a(q) + b(k)``, and the softmax
+    over keys cancels ``a(q)``.  Every query gets the same weights (five
+    random queries agree to ~1e-16), so the Eq. 6 and Eq. 9 contexts are
+    the same for every point and every road.
+
     Args:
         dim: Embedding dimension of queries/keys/values.
         hidden: Width of the projected query/key spaces (defaults to ``dim``).

@@ -3,7 +3,10 @@
 A :class:`Tensor` wraps an ``ndarray`` and records the operations applied to
 it; calling :meth:`Tensor.backward` on a scalar result walks the recorded
 graph in reverse topological order and accumulates gradients into every
-tensor created with ``requires_grad=True``.
+leaf created with ``requires_grad=True``.  The walk releases the graph as
+it goes: once an inner node's backward has run, it drops its gradient,
+parents and backward closure, and a second backward through it raises
+(walking it again would skip or double-count gradients).
 
 The op set is exactly what the paper's models need: arithmetic with
 broadcasting, matmul, tanh/relu/sigmoid/exp/log, reductions, softmax,
@@ -45,6 +48,14 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+def _released(grad: np.ndarray) -> None:
+    """Backward of an inner node whose graph an earlier backward freed."""
+    raise RuntimeError(
+        "backward through a graph that was already released; "
+        "run the forward again to build a fresh graph"
+    )
 
 
 class Tensor:
@@ -353,7 +364,12 @@ class Tensor:
 
     # ---------------------------------------------------------------- backward
     def backward(self) -> None:
-        """Backpropagate from this (scalar) tensor through the graph."""
+        """Backpropagate from this (scalar) tensor through the graph.
+
+        Leaves keep their accumulated gradients; every inner node (one
+        built with parents) is released as the walk passes it, so the graph
+        can be walked once only.
+        """
         if self.data.size != 1:
             raise ValueError("backward() requires a scalar tensor")
         topo: list[Tensor] = []
@@ -372,9 +388,17 @@ class Tensor:
                 if id(parent) not in visited:
                     stack.append((parent, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        # Pop in reverse topological order and release each inner node once
+        # its backward has run: the graph's activations and gradients are
+        # freed as the walk passes them instead of all living to the end.
+        while topo:
+            node = topo.pop()
             if node._backward is not None and node.grad is not None:
                 node._backward(node.grad)
+            if node._parents:
+                node.grad = None
+                node._parents = ()
+                node._backward = _released
 
     def zero_grad(self) -> None:
         """Clear this tensor's accumulated gradient."""

@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro.geometry import CellIndex, GridIndex, Point
+from repro.geometry.cell_index import sorted_unique
 
 
 class TestGridIndex:
@@ -169,3 +171,31 @@ class TestBoxOrder:
         assert owner.size == ids.size == 0 and covers.tolist() == [True]
         with pytest.raises(ValueError):
             CellIndex(np.empty(0), np.empty(0), np.empty(0), cell_size=0)
+
+
+class TestSortedUnique:
+    """``sorted_unique`` gives exactly ``np.unique``'s answer (and inverse)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.one_of(
+            # Empty, all-duplicate and short inputs over a narrow range ...
+            hnp.arrays(np.int64, st.integers(0, 40), elements=st.integers(-3, 3)),
+            # ... and ids near the int64 limits.
+            hnp.arrays(
+                np.int64, st.integers(0, 40),
+                elements=st.integers(-(2**63), 2**63 - 1),
+            ),
+            hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(-1e300, 1e300)),
+        )
+    )
+    def test_equals_np_unique(self, values):
+        want = np.unique(values)
+        got = sorted_unique(values)
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
+        want, want_inverse = np.unique(values, return_inverse=True)
+        got, got_inverse = sorted_unique(values, return_inverse=True)
+        np.testing.assert_array_equal(got, want)
+        assert got_inverse.dtype == want_inverse.dtype
+        np.testing.assert_array_equal(got_inverse, want_inverse)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro.nn import Tensor, no_grad
-from repro.nn.functional import concat, stack
+from repro.nn import MLP, Tensor, no_grad
+from repro.nn.functional import concat, segment_mean, stack
 
 
 def numeric_grad(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
@@ -175,3 +175,85 @@ class TestMechanics:
         out.sum().backward()
         assert np.all(t.grad >= 0.0)
         assert np.all(t.grad <= 1.0)
+
+
+def _graph(root: Tensor) -> list[Tensor]:
+    """Every node reachable from ``root`` through parent links."""
+    seen: dict[int, Tensor] = {}
+    todo = [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            todo.extend(node._parents)
+    return list(seen.values())
+
+
+class TestGraphRelease:
+    """``backward`` frees the graph it walks; leaves keep their gradients."""
+
+    rows = np.array([0, 2, 2, 1, 3, 0])
+    groups = np.array([0, 1, 1, 0, 2, 2])
+
+    def _parts(self):
+        mlp = MLP([3, 5, 2], activation="tanh", rng=0)
+        x = Tensor(np.random.default_rng(1).normal(size=(4, 3)), requires_grad=True)
+        return mlp, x
+
+    def _hidden(self, mlp, x) -> Tensor:
+        return segment_mean(mlp(x)[self.rows], self.groups, 3)
+
+    def _loss(self, mlp, x) -> Tensor:
+        return (self._hidden(mlp, x) ** 2.0).sum()
+
+    def test_leaves_keep_gradients_and_inner_nodes_are_released(self):
+        mlp, x = self._parts()
+        loss = self._loss(mlp, x)
+        nodes = _graph(loss)
+        inner = [n for n in nodes if n._parents]
+        leaves = [n for n in nodes if not n._parents and n.requires_grad]
+        assert len(inner) > 5 and len(leaves) == 1 + len(mlp.parameters())
+        loss.backward()
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+        for node in inner:
+            assert node.grad is None
+            assert node._parents == ()
+
+    def test_gradients_match_the_numeric_check(self):
+        mlp, x = self._parts()
+        self._loss(mlp, x).backward()
+        numeric = numeric_grad(lambda: self._loss(mlp, Tensor(x.data)).item(), x.data)
+        np.testing.assert_allclose(x.grad, numeric, atol=1e-6, rtol=1e-4)
+
+    def test_second_backward_on_the_same_root_raises(self):
+        mlp, x = self._parts()
+        loss = self._loss(mlp, x)
+        loss.backward()
+        first = [p.grad.copy() for p in mlp.parameters()]
+        with pytest.raises(RuntimeError, match="released"):
+            loss.backward()
+        for param, grad in zip(mlp.parameters(), first):
+            np.testing.assert_array_equal(param.grad, grad)
+
+    def test_loss_sharing_a_released_tensor_raises(self):
+        mlp, x = self._parts()
+        hidden = self._hidden(mlp, x)
+        (hidden ** 2.0).sum().backward()
+        with pytest.raises(RuntimeError, match="released"):
+            hidden.sum().backward()
+
+    def test_fresh_graphs_over_the_same_parameters_accumulate(self):
+        mlp, x = self._parts()
+        self._loss(mlp, x).backward()
+        first = [p.grad.copy() for p in mlp.parameters()]
+        for param in mlp.parameters():
+            param.zero_grad()
+        (self._hidden(mlp, x).sum() * 3.0).backward()
+        second = [p.grad.copy() for p in mlp.parameters()]
+        for param in mlp.parameters():
+            param.zero_grad()
+        self._loss(mlp, x).backward()
+        (self._hidden(mlp, x).sum() * 3.0).backward()
+        for param, a, b in zip(mlp.parameters(), first, second):
+            np.testing.assert_array_equal(param.grad, a + b)
